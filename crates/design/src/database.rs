@@ -133,14 +133,17 @@ impl Database {
         }
     }
 
-    /// Captures an immutable [`DbSnapshot`] pinned at the clock's current
-    /// reading: every write stamped so far is visible, nothing stamped
-    /// later will be. O(chunks + tail) per relation — sealed storage
-    /// chunks are shared, not copied — so snapshots are cheap enough to
-    /// take per served request.
+    /// Captures an immutable [`DbSnapshot`] pinned at the clock's last
+    /// issued stamp ([`TransactionClock::last_tick`]): every write stamped
+    /// so far is visible, and every later write is stamped strictly after
+    /// the pin, so [`Self::snapshot_at`] at the pin reproduces this view
+    /// forever. (The clock's `now` would not do: a write stamped later may
+    /// carry that same reading.) O(chunks + tail) per relation — sealed
+    /// storage chunks are shared, not copied — so snapshots are cheap
+    /// enough to take per served request.
     #[must_use]
     pub fn snapshot(&self) -> DbSnapshot {
-        self.snapshot_at(self.clock.now())
+        self.snapshot_at(self.clock.last_tick())
     }
 
     /// Captures a snapshot pinned at an arbitrary transaction tick.
@@ -271,8 +274,8 @@ impl Database {
 
     /// A point-in-time snapshot of the process-wide metrics registry:
     /// ingest stage timings, compiled-check hit counters, planner
-    /// decisions, query operator latencies, vacuum/cache/backlog
-    /// activity (see `docs/observability.md` for the catalog).
+    /// decisions, query operator latencies, vacuum activity (see
+    /// `docs/observability.md` for the catalog).
     ///
     /// The registry is process-global — a deployment embedding several
     /// `Database` instances observes their combined totals. Render with
@@ -409,12 +412,7 @@ impl Database {
         let rel = relations
             .get(&statement.relation)
             .ok_or_else(|| DbError::UnknownRelation(statement.relation.clone()))?;
-        let mut result = rel.execute(statement.query);
-        if !statement.filters.is_empty() {
-            result.elements.retain(|e| statement.matches(e));
-            result.stats.returned = result.elements.len();
-        }
-        Ok(result)
+        Ok(statement.filter(rel.execute(statement.query)))
     }
 
     /// Explains how a TQL `SELECT` would run, without executing it: the

@@ -88,12 +88,7 @@ impl DbSnapshot {
             .relations
             .get(&statement.relation)
             .ok_or_else(|| DbError::UnknownRelation(statement.relation.clone()))?;
-        let mut result = rel.execute(statement.query);
-        if !statement.filters.is_empty() {
-            result.elements.retain(|e| statement.matches(e));
-            result.stats.returned = result.elements.len();
-        }
-        Ok(result)
+        Ok(statement.filter(rel.execute(statement.query)))
     }
 }
 

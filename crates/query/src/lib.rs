@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 mod exec;
-pub mod join;
 mod optimizer;
 mod plan;
 mod snapshot;

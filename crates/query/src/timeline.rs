@@ -35,8 +35,8 @@ impl Timeline {
     /// Elements not stored as of `as_of`, not belonging to `object`, not
     /// interval-stamped, or lacking the attribute are skipped. Where valid
     /// intervals overlap, the element with the larger `tt_begin` (the most
-    /// recently stored belief) wins — the backlog-style "latest assertion
-    /// supersedes" reading of §2's historical states.
+    /// recently stored belief) wins — the "latest assertion supersedes"
+    /// reading of §2's historical states.
     #[must_use]
     pub fn build(
         elements: &[Element],

@@ -30,6 +30,7 @@ use tempora_time::Timestamp;
 
 use tempora_core::{Element, ObjectId, Value};
 
+use crate::exec::QueryResult;
 use crate::plan::Query;
 
 /// A parsed statement: the target relation name, attribute filters, and
@@ -51,6 +52,18 @@ impl TqlStatement {
         self.filters
             .iter()
             .all(|(name, value)| element.attr(name) == Some(value))
+    }
+
+    /// Applies the `WHERE` filters to the executed [`Self::query`]: keeps
+    /// the elements that pass every filter and recounts `returned`. Live
+    /// and pinned reads both filter here.
+    #[must_use]
+    pub fn filter(&self, mut result: QueryResult) -> QueryResult {
+        if !self.filters.is_empty() {
+            result.elements.retain(|e| self.matches(e));
+            result.stats.returned = result.elements.len();
+        }
+        result
     }
 }
 

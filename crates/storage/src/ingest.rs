@@ -6,8 +6,8 @@
 //! module exploits that: an update batch is hash-partitioned by [`ObjectId`]
 //! into N shards, each shard's elements are checked in parallel against a
 //! split-off slice of the constraint engine's per-object state, and the
-//! results are merged back in batch order so surrogate assignment, storage,
-//! and the backlog behave exactly as the sequential path.
+//! results are merged back in batch order so surrogate assignment and
+//! storage behave exactly as the sequential path.
 //!
 //! Schemas that declare relation-global state (a [`Basis::PerRelation`]
 //! ordering, regularity, or succession) or a determined mapping are not

@@ -2,7 +2,7 @@
 //!
 //! Every function lazily registers its metric in the global
 //! `tempora-obs` registry on first use and caches the `Arc` handle in a
-//! `OnceLock`, so the hot paths (batch admission, backlog appends) pay a
+//! `OnceLock`, so the hot paths (batch admission and application) pay a
 //! single relaxed atomic load per recording instead of a registry
 //! lookup. The full catalog with meanings lives in
 //! `docs/observability.md`.
@@ -74,29 +74,4 @@ cached_metric!(
     vacuum_reclaimed,
     Counter,
     tempora_obs::counter("tempora_vacuum_reclaimed_total")
-);
-cached_metric!(
-    cache_refreshes,
-    Counter,
-    tempora_obs::counter("tempora_cache_refreshes_total")
-);
-cached_metric!(
-    cache_ops_applied,
-    Counter,
-    tempora_obs::counter("tempora_cache_ops_applied_total")
-);
-cached_metric!(
-    backlog_inserts,
-    Counter,
-    tempora_obs::counter_with("tempora_backlog_ops_total", "kind", "insert")
-);
-cached_metric!(
-    backlog_deletes,
-    Counter,
-    tempora_obs::counter_with("tempora_backlog_ops_total", "kind", "delete")
-);
-cached_metric!(
-    backlog_modifies,
-    Counter,
-    tempora_obs::counter_with("tempora_backlog_ops_total", "kind", "modify")
 );

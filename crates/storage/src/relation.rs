@@ -10,11 +10,9 @@ use tempora_core::{
     AttrName, CoreError, Element, ElementId, ObjectId, RelationSchema, Stamping, Value, ValidTime,
 };
 
-use crate::append_log::AppendLog;
 use crate::chunks::ElementChunks;
-use crate::backlog::Backlog;
 use crate::ingest::{BatchRecord, BatchReport};
-use crate::tuple_store::TupleStore;
+use crate::store::ElementStore;
 
 /// Re-addresses a rejection's diagnostics to the surrogate the sequential
 /// path would have attempted the element under.
@@ -86,18 +84,6 @@ impl Default for RelationStats {
     }
 }
 
-/// The physical representation, selected from the schema's declared
-/// specializations (§1: the semantics "may be used for selecting
-/// appropriate storage structures").
-#[derive(Debug, Clone)]
-enum Store {
-    /// General representation: tuple time-stamping.
-    Tuple(TupleStore),
-    /// Ordered relations (degenerate / sequential / non-decreasing):
-    /// append-only, no index needed for either time dimension.
-    Append(AppendLog),
-}
-
 /// A bitemporal relation: elements with valid and transaction time, a
 /// declared set of specializations (enforced on update), and
 /// representation-appropriate reads.
@@ -109,8 +95,7 @@ pub struct TemporalRelation {
     schema: Arc<RelationSchema>,
     engine: ConstraintEngine,
     clock: Arc<dyn TransactionClock>,
-    store: Store,
-    backlog: Option<Backlog>,
+    store: ElementStore,
     enforcement: Enforcement,
     ingest_shards: usize,
     next_element: u64,
@@ -118,36 +103,23 @@ pub struct TemporalRelation {
 }
 
 impl TemporalRelation {
-    /// Creates a relation, choosing the physical representation from the
-    /// schema: relations whose declarations guarantee valid-time-ordered
-    /// arrival (degenerate, relation-wide sequential or non-decreasing) get
-    /// the append-only representation, everything else tuple time-stamping.
+    /// Creates a relation. Its element store takes its ordering from the
+    /// schema (§1: the semantics "may be used for selecting appropriate
+    /// storage structures"): relations whose declarations guarantee
+    /// valid-time-ordered arrival (degenerate, relation-wide sequential or
+    /// non-decreasing) get the append-only, valid-time-searchable form.
     #[must_use]
     pub fn new(schema: Arc<RelationSchema>, clock: Arc<dyn TransactionClock>) -> Self {
-        let store = if schema.is_degenerate() || schema.is_vt_ordered() {
-            Store::Append(AppendLog::new())
-        } else {
-            Store::Tuple(TupleStore::new())
-        };
         TemporalRelation {
             engine: ConstraintEngine::new(Arc::clone(&schema)),
+            store: ElementStore::new(&schema),
             schema,
             clock,
-            store,
-            backlog: None,
             enforcement: Enforcement::Enforce,
             ingest_shards: 1,
             next_element: 0,
             stats: RelationStats::default(),
         }
-    }
-
-    /// Enables the backlog (operation log) alongside the primary store,
-    /// supporting replay-based rollback and differential refresh.
-    #[must_use]
-    pub fn with_backlog(mut self) -> Self {
-        self.backlog = Some(Backlog::new());
-        self
     }
 
     /// Sets the enforcement mode.
@@ -194,16 +166,11 @@ impl TemporalRelation {
         self.stats.clone()
     }
 
-    /// Whether the relation uses the append-only representation.
+    /// Whether the relation uses the append-only representation: its
+    /// store is valid-time ordered (see [`ElementStore::is_vt_ordered`]).
     #[must_use]
     pub fn is_append_only(&self) -> bool {
-        matches!(self.store, Store::Append(_))
-    }
-
-    /// The backlog, if enabled.
-    #[must_use]
-    pub fn backlog(&self) -> Option<&Backlog> {
-        self.backlog.as_ref()
+        self.store.is_vt_ordered()
     }
 
     /// The current transaction time (without consuming a stamp).
@@ -251,24 +218,12 @@ impl TemporalRelation {
                 return Err(e);
             }
         }
-        self.store_admitted(element)?;
+        self.store.insert(element)?;
         self.next_element += 1;
         self.stats.inserts += 1;
         self.stats.checks_elided +=
             u64::try_from(self.engine.compiled().elided_insert_events().len()).unwrap_or(0);
         Ok(id)
-    }
-
-    /// Writes an already-admitted element to the store and backlog.
-    fn store_admitted(&mut self, element: Element) -> Result<(), CoreError> {
-        match &mut self.store {
-            Store::Tuple(s) => s.insert(element.clone())?,
-            Store::Append(s) => s.append(element.clone())?,
-        }
-        if let Some(log) = &mut self.backlog {
-            log.log_insert(element)?;
-        }
-        Ok(())
     }
 
     /// Counts a constraint rejection, attributing it to the shard the
@@ -301,7 +256,7 @@ impl TemporalRelation {
     /// ([`crate::ingest::shard_of`]); each shard checks its records in
     /// batch order against the engine state split off for its objects, and
     /// the main thread then applies the decisions — surrogate assignment,
-    /// store and backlog writes, counters — in batch order.
+    /// store writes, counters — in batch order.
     pub fn apply_batch(&mut self, records: Vec<BatchRecord>) -> BatchReport {
         let _span = tempora_obs::span_with(
             "apply-batch",
@@ -424,7 +379,7 @@ impl TemporalRelation {
                 Ok(mut element) => {
                     let id = ElementId::new(self.next_element);
                     element.id = id;
-                    if let Err(e) = self.store_admitted(element) {
+                    if let Err(e) = self.store.insert(element) {
                         // Storage invariant failure, not a constraint
                         // rejection: reported but not counted, as in the
                         // sequential path.
@@ -484,13 +439,7 @@ impl TemporalRelation {
                 return Err(e);
             }
         }
-        match &mut self.store {
-            Store::Tuple(s) => s.delete(id, tt_d)?,
-            Store::Append(s) => s.delete(id, tt_d)?,
-        }
-        if let Some(log) = &mut self.backlog {
-            log.log_delete(id, tt_d)?;
-        }
+        self.store.delete(id, tt_d)?;
         self.stats.deletes += 1;
         self.stats.checks_elided +=
             u64::try_from(self.engine.compiled().elided_delete_events().len()).unwrap_or(0);
@@ -540,19 +489,8 @@ impl TemporalRelation {
             self.engine = scratch;
             self.engine.publish_check_metrics();
         }
-        match &mut self.store {
-            Store::Tuple(s) => {
-                s.delete(id, tt)?;
-                s.insert(element.clone())?;
-            }
-            Store::Append(s) => {
-                s.delete(id, tt)?;
-                s.append(element.clone())?;
-            }
-        }
-        if let Some(log) = &mut self.backlog {
-            log.log_modify(id, element)?;
-        }
+        self.store.delete(id, tt)?;
+        self.store.insert(element)?;
         self.next_element += 1;
         self.stats.modifications += 1;
         Ok(new_id)
@@ -561,32 +499,23 @@ impl TemporalRelation {
     /// The element by surrogate (current or deleted).
     #[must_use]
     pub fn get(&self, id: ElementId) -> Option<&Element> {
-        match &self.store {
-            Store::Tuple(s) => s.get(id),
-            Store::Append(s) => s.get(id),
-        }
+        self.store.get(id)
     }
 
     /// All elements ever stored, in transaction-time order.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = &Element> + '_> {
-        match &self.store {
-            Store::Tuple(s) => Box::new(s.iter()),
-            Store::Append(s) => Box::new(s.iter()),
-        }
+    pub fn iter(&self) -> impl Iterator<Item = &Element> {
+        self.store.iter()
     }
 
     /// The current state (a *current query*, §1).
     pub fn iter_current(&self) -> impl Iterator<Item = &Element> {
-        self.iter().filter(|e| e.is_current())
+        self.store.iter_current()
     }
 
     /// The historical state at transaction time `tt` (a *rollback query*,
     /// §1).
-    pub fn iter_at(&self, tt: Timestamp) -> Box<dyn Iterator<Item = &Element> + '_> {
-        match &self.store {
-            Store::Tuple(s) => Box::new(s.iter_at(tt)),
-            Store::Append(s) => Box::new(s.iter_at(tt)),
-        }
+    pub fn iter_at(&self, tt: Timestamp) -> impl Iterator<Item = &Element> + '_ {
+        self.store.iter_at(tt)
     }
 
     /// Current elements whose valid time covers `vt` (a *historical query*
@@ -596,62 +525,42 @@ impl TemporalRelation {
     /// optimization and auxiliary indexes lives in `tempora-query`; this
     /// is the storage-level answer.)
     pub fn timeslice(&self, vt: Timestamp) -> Vec<&Element> {
-        match (&self.store, self.schema.stamping()) {
-            (Store::Append(s), Stamping::Event) => {
-                // Elements are vt-begin ordered and an event stamp covers
-                // `vt` exactly when it equals `vt`: the answer is the run
-                // [vt, vt+ε), found by binary search.
-                s.slice_by_vt_begin(vt, vt.saturating_add(TimeDelta::RESOLUTION))
-                    .filter(|e| e.is_current())
-                    .collect()
+        // In an ordered store an event stamp covers `vt` exactly when it
+        // equals `vt`: the answer is the run [vt, vt+ε), found by binary
+        // search. Interval stamps with earlier begins may still cover `vt`,
+        // so they (and unordered stores) scan.
+        if self.schema.stamping() == Stamping::Event {
+            let end = vt.saturating_add(TimeDelta::RESOLUTION);
+            if let Some(run) = self.store.slice_by_vt_begin(vt, end) {
+                return run.filter(|e| e.is_current()).collect();
             }
-            // Interval stamps with earlier begins may still cover `vt`,
-            // so the ordered prefix must be scanned.
-            (Store::Append(s), Stamping::Interval) => s
-                .iter()
-                .filter(|e| e.is_current() && e.valid.covers(vt))
-                .collect(),
-            (Store::Tuple(s), _) => s
-                .iter_current()
-                .filter(|e| e.valid.covers(vt))
-                .collect(),
         }
+        self.timeslice_scan(vt)
     }
 
     /// [`Self::timeslice`] by exhaustive scan, whatever the
     /// representation — the oracle the differential tests compare the
     /// representation-aware and index-backed paths against.
     pub fn timeslice_scan(&self, vt: Timestamp) -> Vec<&Element> {
-        self.iter()
-            .filter(|e| e.is_current() && e.valid.covers(vt))
-            .collect()
+        self.iter_current().filter(|e| e.valid.covers(vt)).collect()
     }
 
     /// Elements with `tt_b` in the inclusive window `[lo, hi]` — the
     /// binary-searched transaction-time probe issued by the tt-proxy
     /// strategy.
-    pub fn tt_range(&self, lo: Timestamp, hi: Timestamp) -> Box<dyn Iterator<Item = &Element> + '_> {
-        match &self.store {
-            Store::Tuple(s) => Box::new(s.tt_range(lo, hi)),
-            Store::Append(s) => Box::new(s.tt_range(lo, hi)),
-        }
+    pub fn tt_range(&self, lo: Timestamp, hi: Timestamp) -> impl Iterator<Item = &Element> + '_ {
+        self.store.tt_range(lo, hi)
     }
 
     /// Elements whose valid begin lies in `[from, to)`, when the relation
     /// uses the append-only (valid-time-ordered) representation; `None`
     /// otherwise.
-    #[must_use]
     pub fn vt_ordered_slice(
         &self,
         from: Timestamp,
         to: Timestamp,
-    ) -> Option<Box<dyn Iterator<Item = &Element> + '_>> {
-        match &self.store {
-            Store::Append(s) => {
-                Some(Box::new(s.slice_by_vt_begin(from, to)) as Box<dyn Iterator<Item = &Element>>)
-            }
-            Store::Tuple(_) => None,
-        }
+    ) -> Option<impl Iterator<Item = &Element> + '_> {
+        self.store.slice_by_vt_begin(from, to)
     }
 
     /// An immutable chunk view of every element ever stored, in
@@ -661,31 +570,19 @@ impl TemporalRelation {
     /// [`crate::chunks`]).
     #[must_use]
     pub fn snapshot_elements(&self) -> ElementChunks {
-        match &self.store {
-            Store::Tuple(s) => s.snapshot(),
-            Store::Append(s) => s.snapshot(),
-        }
+        self.store.snapshot()
     }
 
-    /// Every element of one object's life-line (current and deleted).
-    /// For the append representation this is a filtered scan.
-    pub fn iter_object_history(
-        &self,
-        object: tempora_core::ObjectId,
-    ) -> Box<dyn Iterator<Item = &Element> + '_> {
-        match &self.store {
-            Store::Tuple(s) => Box::new(s.iter_object_history(object)),
-            Store::Append(s) => Box::new(s.iter().filter(move |e| e.object == object)),
-        }
+    /// Every element of one object's life-line (current and deleted), in
+    /// insertion order.
+    pub fn iter_object_history(&self, object: ObjectId) -> impl Iterator<Item = &Element> + '_ {
+        self.store.iter_object_history(object)
     }
 
     /// Number of elements ever stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Tuple(s) => s.len(),
-            Store::Append(s) => s.len(),
-        }
+        self.store.len()
     }
 
     /// Whether the relation has never been written.
@@ -699,10 +596,7 @@ impl TemporalRelation {
     /// Returns the number reclaimed. No-op on append-only stores: their
     /// point is full history retention.
     pub fn reclaim(&mut self, keep: impl FnMut(&Element) -> bool) -> usize {
-        match &mut self.store {
-            Store::Tuple(s) => s.reclaim(keep),
-            Store::Append(_) => 0,
-        }
+        self.store.reclaim(keep)
     }
 }
 
@@ -837,7 +731,7 @@ mod tests {
     #[test]
     fn modify_is_delete_plus_insert_same_tt() {
         let clock = clock_at(10);
-        let mut rel = TemporalRelation::new(general_schema(), clock.clone()).with_backlog();
+        let mut rel = TemporalRelation::new(general_schema(), clock.clone());
         let a = rel
             .insert(ObjectId::new(1), ts(5), vec![(AttrName::new("v"), Value::Int(1))])
             .unwrap();
@@ -851,8 +745,6 @@ mod tests {
         assert_eq!(old.tt_end, Some(new.tt_begin)); // same transaction time
         assert_eq!(new.attr("v"), Some(&Value::Int(2)));
         assert_eq!(rel.stats().modifications, 1);
-        // Backlog recorded one modification op.
-        assert_eq!(rel.backlog().unwrap().len(), 2);
     }
 
     #[test]
@@ -938,24 +830,26 @@ mod tests {
     }
 
     #[test]
-    fn backlog_replay_matches_store() {
+    fn rollback_read_matches_snapshot_view() {
         let clock = clock_at(0);
-        let mut rel = TemporalRelation::new(general_schema(), clock.clone()).with_backlog();
+        let mut rel = TemporalRelation::new(general_schema(), clock.clone());
         clock.set(ts(10));
         let a = rel.insert(ObjectId::new(1), ts(1), vec![]).unwrap();
         clock.set(ts(20));
         rel.insert(ObjectId::new(2), ts(2), vec![]).unwrap();
         clock.set(ts(30));
         rel.delete(a).unwrap();
+        // The pinned chunk view is taken after the delete; filtering it by
+        // existence interval must reproduce every earlier rollback read.
+        let view = rel.snapshot_elements();
         for probe in [5, 10, 15, 20, 25, 30, 35] {
-            let from_store: Vec<ElementId> = {
-                let mut v: Vec<ElementId> = rel.iter_at(ts(probe)).map(|e| e.id).collect();
-                v.sort();
-                v
-            };
-            let from_log: Vec<ElementId> =
-                rel.backlog().unwrap().replay_at(ts(probe)).keys().copied().collect();
-            assert_eq!(from_store, from_log, "state at tt {probe}");
+            let from_store: Vec<ElementId> = rel.iter_at(ts(probe)).map(|e| e.id).collect();
+            let from_view: Vec<ElementId> = view
+                .iter()
+                .filter(|e| e.existed_at(ts(probe)))
+                .map(|e| e.id)
+                .collect();
+            assert_eq!(from_store, from_view, "state at tt {probe}");
         }
     }
 }

@@ -121,7 +121,6 @@ const CLOCK_ORIGIN: i64 = 1_000;
 fn relation(schema: &Arc<RelationSchema>, shards: usize, mode: Enforcement) -> TemporalRelation {
     let clock = Arc::new(ManualClock::new(ts(CLOCK_ORIGIN)));
     TemporalRelation::new(Arc::clone(schema), clock)
-        .with_backlog()
         .with_enforcement(mode)
         .with_ingest_shards(shards)
 }
@@ -159,7 +158,6 @@ proptest! {
             format!("{:?}", par_report.rejected)
         );
         prop_assert_eq!(store_contents(&sequential), store_contents(&parallel));
-        prop_assert_eq!(sequential.backlog().unwrap().len(), parallel.backlog().unwrap().len());
 
         let (s, p) = (sequential.stats(), parallel.stats());
         prop_assert_eq!(s.inserts, p.inserts);
@@ -203,12 +201,11 @@ proptest! {
         prop_assert!(report.all_accepted());
         prop_assert!(!report.parallel, "Trust has no checks to parallelize");
         prop_assert_eq!(store_contents(&enforced), store_contents(&trusting));
-        prop_assert_eq!(enforced.backlog().unwrap().len(), trusting.backlog().unwrap().len());
     }
 }
 
 /// Satellite: rejection atomicity. A batch containing one violating element
-/// leaves relation state, backlog, and stats untouched except `rejections`
+/// leaves relation state and stats untouched except `rejections`
 /// (and its per-shard attribution).
 #[test]
 fn rejected_element_changes_nothing_but_rejection_counters() {
@@ -223,7 +220,6 @@ fn rejected_element_changes_nothing_but_rejection_counters() {
         rel.apply_batch(vec![good(1, 500), good(2, 600), good(1, 700)]);
 
         let before_state = store_contents(&rel);
-        let before_backlog = rel.backlog().unwrap().len();
         let before_stats = rel.stats();
 
         // vt 400 regresses object 1's non-decreasing order and is also
@@ -235,7 +231,6 @@ fn rejected_element_changes_nothing_but_rejection_counters() {
 
         let after_stats = rel.stats();
         assert_eq!(store_contents(&rel), before_state, "store unchanged");
-        assert_eq!(rel.backlog().unwrap().len(), before_backlog, "backlog unchanged");
         assert_eq!(after_stats.inserts, before_stats.inserts);
         assert_eq!(after_stats.deletes, before_stats.deletes);
         assert_eq!(after_stats.modifications, before_stats.modifications);

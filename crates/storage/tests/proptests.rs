@@ -1,13 +1,15 @@
 //! Property-based tests for the storage substrate: random operation
 //! sequences preserve the invariants of §2's sequence-of-historical-states
-//! model across all three representations.
+//! model in the element store, for both of its orderings, and through the
+//! relation façade.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use tempora_core::{Element, ElementId, ObjectId, RelationSchema, Stamping};
-use tempora_storage::{Backlog, TemporalRelation, TupleStore};
+use tempora_core::spec::interevent::OrderingSpec;
+use tempora_core::{Basis, Element, ElementId, ObjectId, RelationSchema, Stamping};
+use tempora_storage::{ElementStore, TemporalRelation};
 use tempora_time::{ManualClock, TimeDelta, Timestamp};
 
 fn ts(v: i64) -> Timestamp {
@@ -31,12 +33,34 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    /// The tuple store's rollback view is consistent with the element
+    /// The element store's rollback view is consistent with the element
     /// lifecycle: an element is in `iter_at(tt)` exactly when
-    /// `tt ∈ [tt_b, tt_d)`.
+    /// `tt ∈ [tt_b, tt_d)`. Runs on a general relation's store and on a
+    /// globally sequential relation's (valid-time-ordered) store; for the
+    /// latter the generated valid times are made non-decreasing in arrival
+    /// order, as the schema promises.
     #[test]
-    fn tuple_store_rollback_consistency(ops in prop::collection::vec(op_strategy(), 0..80)) {
-        let mut store = TupleStore::new();
+    fn tuple_store_rollback_consistency(
+        ops in prop::collection::vec(op_strategy(), 0..80),
+        ordered in any::<bool>(),
+    ) {
+        let mut schema = RelationSchema::builder("r", Stamping::Event);
+        if ordered {
+            schema = schema.ordering(OrderingSpec::GloballySequential, Basis::PerRelation);
+        }
+        let mut store = ElementStore::new(&schema.build().unwrap());
+        prop_assert_eq!(store.is_vt_ordered(), ordered);
+        // In the ordered case each generated vt becomes a non-negative step
+        // above the last stored valid time.
+        let mut last_vt = -500_i64;
+        let mut next_vt = |vt: i64| {
+            if ordered {
+                last_vt += vt.rem_euclid(20);
+                last_vt
+            } else {
+                vt
+            }
+        };
         let mut next_id = 0_u64;
         let mut live: Vec<ElementId> = Vec::new();
         let mut tt = 0_i64;
@@ -47,7 +71,7 @@ proptest! {
                     let e = Element::new(
                         ElementId::new(next_id),
                         ObjectId::new(object),
-                        ts(vt),
+                        ts(next_vt(vt)),
                         ts(tt),
                     );
                     store.insert(e).unwrap();
@@ -62,7 +86,7 @@ proptest! {
                     let id = live.remove(victim % live.len());
                     store.delete(id, ts(tt)).unwrap();
                     let obj = store.get(id).unwrap().object;
-                    let e = Element::new(ElementId::new(next_id), obj, ts(vt), ts(tt + 1));
+                    let e = Element::new(ElementId::new(next_id), obj, ts(next_vt(vt)), ts(tt + 1));
                     tt += 1;
                     store.insert(e).unwrap();
                     live.push(ElementId::new(next_id));
@@ -86,54 +110,6 @@ proptest! {
         }
         // Current view = elements with no deletion stamp.
         prop_assert_eq!(store.current_len(), live.len());
-    }
-
-    /// Backlog replay equals direct state reconstruction for random op
-    /// sequences.
-    #[test]
-    fn backlog_replay_matches_model(ops in prop::collection::vec(op_strategy(), 0..60)) {
-        let mut log = Backlog::new();
-        let mut model: Vec<(ElementId, i64, Option<i64>)> = Vec::new(); // id, tt_b, tt_d
-        let mut live: Vec<ElementId> = Vec::new();
-        let mut next_id = 0_u64;
-        let mut tt = 0_i64;
-        for op in &ops {
-            tt += 10;
-            match *op {
-                Op::Insert { object, vt } => {
-                    let e = Element::new(ElementId::new(next_id), ObjectId::new(object), ts(vt), ts(tt));
-                    log.log_insert(e).unwrap();
-                    model.push((ElementId::new(next_id), tt, None));
-                    live.push(ElementId::new(next_id));
-                    next_id += 1;
-                }
-                Op::Delete { victim } if !live.is_empty() => {
-                    let id = live.remove(victim % live.len());
-                    log.log_delete(id, ts(tt)).unwrap();
-                    model.iter_mut().find(|(i, _, _)| *i == id).unwrap().2 = Some(tt);
-                }
-                Op::Modify { victim, vt } if !live.is_empty() => {
-                    let id = live.remove(victim % live.len());
-                    let e = Element::new(ElementId::new(next_id), ObjectId::new(0), ts(vt), ts(tt));
-                    log.log_modify(id, e).unwrap();
-                    model.iter_mut().find(|(i, _, _)| *i == id).unwrap().2 = Some(tt);
-                    model.push((ElementId::new(next_id), tt, None));
-                    live.push(ElementId::new(next_id));
-                    next_id += 1;
-                }
-                _ => {}
-            }
-        }
-        for probe in (0..=tt).step_by(10) {
-            let replayed: std::collections::BTreeSet<ElementId> =
-                log.replay_at(ts(probe)).keys().copied().collect();
-            let expected: std::collections::BTreeSet<ElementId> = model
-                .iter()
-                .filter(|(_, b, d)| *b <= probe && d.is_none_or(|dd| probe < dd))
-                .map(|(i, _, _)| *i)
-                .collect();
-            prop_assert_eq!(replayed, expected, "at tt {}", probe);
-        }
     }
 
     /// The relation façade's counters and views stay mutually consistent

@@ -10,7 +10,7 @@
 //! Clients speak the length-prefixed frame protocol of
 //! [`tempora::serve`] — the REPL's `.connect <addr>` is one such client.
 //! `SELECT`s are answered from a shared immutable snapshot pinned at the
-//! current transaction tick, so reads never block writes; DML goes through
+//! last issued transaction stamp, so reads never block writes; DML goes through
 //! the write-ahead log. The process reads stdin: `quit` (or EOF) drains
 //! in-flight requests, checkpoints, and exits.
 //!

@@ -40,8 +40,8 @@
 //!   interval algebra, transaction clocks;
 //! * [`core`] — the taxonomy: specializations, region
 //!   algebra, lattices (Figures 2–5), constraint engine, inference;
-//! * [`storage`] — tuple store, backlog, append log,
-//!   the [`TemporalRelation`](tempora_storage::TemporalRelation) façade, vacuuming;
+//! * [`storage`] — the element store, the
+//!   [`TemporalRelation`](tempora_storage::TemporalRelation) façade, vacuuming;
 //! * [`index`] — point index, interval tree, tt-proxy;
 //! * [`analyze`] — design-time static analysis: schema
 //!   satisfiability, redundancy, and predicate proofs (TS0xx diagnostics);
@@ -241,7 +241,7 @@ pub fn load_event_workload_batched_profiled(
             "0 on the sequential path (interleaved into apply)"
         },
     );
-    profile.push("  apply", stage_us("apply"), "store + backlog + counters");
+    profile.push("  apply", stage_us("apply"), "store + counters");
     profile.set_total(elapsed_us(total_from));
 
     match report.rejected.into_iter().next() {

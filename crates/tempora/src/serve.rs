@@ -25,7 +25,7 @@
 //! `SELECT` statements never touch the database's locks while executing:
 //! the server grabs the memoized
 //! [`latest_snapshot`](tempora_design::Database::latest_snapshot) — an
-//! `Arc`-shared chunk view pinned at the current transaction tick — and
+//! `Arc`-shared chunk view pinned at the last issued transaction stamp — and
 //! runs the query on it. Writers proceed concurrently; the `OK` line
 //! carries the pin so a client (or a differential test) can reconstruct
 //! the exact view later with
@@ -180,7 +180,7 @@ pub fn handle_request(db: &DurableDatabase, request: &str) -> String {
     match first.as_str() {
         "SELECT" => {
             // Lock-free read path: the memoized snapshot pinned at the
-            // current tick. Ingest proceeds concurrently.
+            // last issued stamp. Ingest proceeds concurrently.
             let snap = db.db().latest_snapshot();
             match snap.query(request) {
                 Ok(result) => render_query_response(snap.pin(), &result),

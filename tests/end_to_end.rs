@@ -79,9 +79,23 @@ fn interval_workload_full_lifecycle() {
 
 #[test]
 fn backlog_and_tuple_store_agree_on_every_state() {
-    let schema = RelationSchema::builder("r", Stamping::Event).build().unwrap();
+    use tempora::wal::{DurabilityConfig, DurableDatabase, MemStorage};
+
+    // The write-ahead log is the backlog: reopening replays it.
+    let storage = Arc::new(MemStorage::new());
+    let open = |clock: Arc<ManualClock>| {
+        DurableDatabase::open(storage.clone(), clock, DurabilityConfig::default())
+            .expect("open")
+            .0
+    };
     let clock = Arc::new(ManualClock::new(Timestamp::EPOCH));
-    let mut rel = TemporalRelation::new(schema, clock.clone()).with_backlog();
+    let db = open(clock.clone());
+    db.execute_ddl("CREATE TEMPORAL RELATION r (k KEY) AS EVENT").unwrap();
+    let is_current = |db: &DurableDatabase, id| {
+        db.db()
+            .with_relation("r", |rel| rel.relation().get(id).is_some_and(Element::is_current))
+            .unwrap()
+    };
     let mut ids = Vec::new();
     // A mixed history: inserts, deletes, modifications.
     for i in 0..60_i64 {
@@ -89,39 +103,49 @@ fn backlog_and_tuple_store_agree_on_every_state() {
         match i % 5 {
             3 if !ids.is_empty() => {
                 let victim = ids[usize::try_from(i).unwrap() % ids.len()];
-                if rel.get(victim).is_some_and(Element::is_current) {
-                    rel.delete(victim).unwrap();
+                if is_current(&db, victim) {
+                    db.delete("r", victim).unwrap();
                 } else {
                     ids.push(
-                        rel.insert(ObjectId::new(1), Timestamp::from_secs(i), vec![]).unwrap(),
+                        db.insert("r", ObjectId::new(1), Timestamp::from_secs(i), vec![]).unwrap(),
                     );
                 }
             }
             4 if !ids.is_empty() => {
                 let victim = ids[usize::try_from(i).unwrap() % ids.len()];
-                if rel.get(victim).is_some_and(Element::is_current) {
-                    ids.push(rel.modify(victim, Timestamp::from_secs(i + 1), vec![]).unwrap());
+                if is_current(&db, victim) {
+                    ids.push(db.modify("r", victim, Timestamp::from_secs(i + 1), vec![]).unwrap());
                 }
             }
             _ => {
-                ids.push(rel.insert(ObjectId::new(1), Timestamp::from_secs(i), vec![]).unwrap());
+                ids.push(db.insert("r", ObjectId::new(1), Timestamp::from_secs(i), vec![]).unwrap());
             }
         }
     }
-    // At every transaction instant, replaying the backlog equals reading
-    // the tuple store.
-    for probe in (0..620).step_by(7) {
-        let tt = Timestamp::from_secs(probe);
-        let mut from_store: Vec<ElementId> = rel.iter_at(tt).map(|e| e.id).collect();
-        from_store.sort();
-        let from_log: Vec<ElementId> = rel
-            .backlog()
-            .expect("enabled")
-            .replay_at(tt)
-            .keys()
-            .copied()
-            .collect();
-        assert_eq!(from_store, from_log, "divergence at tt {probe}s");
+    // At every transaction instant, the rollback read of the tuple store
+    // equals the same read after replaying the log.
+    let states = |db: &DurableDatabase| -> Vec<Vec<ElementId>> {
+        db.db()
+            .with_relation("r", |rel| {
+                (0..620)
+                    .step_by(7)
+                    .map(|probe| {
+                        let tt = Timestamp::from_secs(probe);
+                        let mut at: Vec<ElementId> =
+                            rel.relation().iter_at(tt).map(|e| e.id).collect();
+                        at.sort();
+                        at
+                    })
+                    .collect()
+            })
+            .unwrap()
+    };
+    let from_store = states(&db);
+    assert!(from_store.iter().any(|state| state.len() > 10));
+    drop(db);
+    let replayed = open(Arc::new(ManualClock::new(Timestamp::EPOCH)));
+    for (probe, (store, log)) in from_store.iter().zip(&states(&replayed)).enumerate() {
+        assert_eq!(store, log, "divergence at tt {}s", probe * 7);
     }
 }
 

@@ -355,66 +355,102 @@ fn claim_s34_thirteen_exclusive_relations() {
 }
 
 /// §2: "the conceptual model of a sequence of historical states does not
-/// imply (nor disallow) a particular physical representation" — the
-/// tuple-stamped store, the backlog replay, and the \[Gad88\]
-/// attribute-stamped store answer identically.
+/// imply (nor disallow) a particular physical representation" — three
+/// representations answer identically:
+///
+/// 1. the tuple-stamped element store, rolled back with `snapshot_at`;
+/// 2. the write-ahead log of insertion, deletion, and modification
+///    operations (the \[JMRS90\] backlog representation), replayed by
+///    reopening the database on its storage;
+/// 3. the \[Gad88\] attribute-stamped store.
+///
+/// The first two must agree on the historical state at every transaction
+/// time probe, over a mixed insert/delete/modify history.
 #[test]
 fn claim_s2_representations_are_interchangeable() {
     use tempora::storage::AttributeStore;
-    let schema = RelationSchema::builder("r", Stamping::Interval).build().unwrap();
-    let clock = Arc::new(ManualClock::new(Timestamp::from_secs(0)));
-    let mut rel = TemporalRelation::new(schema, clock.clone()).with_backlog();
+    use tempora::wal::{DurabilityConfig, DurableDatabase, MemStorage};
+
+    let storage = Arc::new(MemStorage::new());
+    let clock = Arc::new(ManualClock::new(Timestamp::EPOCH));
+    let open = |clock: Arc<ManualClock>| {
+        DurableDatabase::open(storage.clone(), clock, DurabilityConfig::default())
+            .expect("open")
+            .0
+    };
+    let db = open(clock.clone());
+    db.execute_ddl("CREATE TEMPORAL RELATION log (k KEY) AS EVENT").unwrap();
+    db.execute_ddl("CREATE TEMPORAL RELATION staff (emp KEY, project VARYING) AS INTERVAL")
+        .unwrap();
+
+    // A mixed event history: inserts, deletes, modifications.
+    let mut ids = Vec::new();
+    for i in 0..60_i64 {
+        clock.set(Timestamp::from_secs(i * 10 + 5));
+        let vt = Timestamp::from_secs(i);
+        let victim = (!ids.is_empty()).then(|| ids[usize::try_from(i).unwrap() % ids.len()]);
+        let victim_current = victim.is_some_and(|v| {
+            db.db()
+                .with_relation("log", |rel| rel.relation().get(v).is_some_and(Element::is_current))
+                .unwrap()
+        });
+        match (i % 5, victim) {
+            (3, Some(v)) if victim_current => {
+                db.delete("log", v).unwrap();
+            }
+            (4, Some(v)) if victim_current => {
+                ids.push(db.modify("log", v, Timestamp::from_secs(i + 1), vec![]).unwrap());
+            }
+            (4, Some(_)) => {}
+            _ => ids.push(db.insert("log", ObjectId::new(1), vt, vec![]).unwrap()),
+        }
+    }
+    // An interval-stamped assignment history, one modification included.
     let iv = |b: i64, e: i64| {
         Interval::new(Timestamp::from_secs(b), Timestamp::from_secs(e)).unwrap()
     };
-    let mut ids = Vec::new();
+    let project = |p: &str| vec![(AttrName::new("project"), Value::str(p))];
+    let mut assignments = Vec::new();
     for (i, (b, e, p)) in [(0, 7, "apollo"), (7, 14, "apollo"), (14, 21, "borealis")]
-        .iter()
+        .into_iter()
         .enumerate()
     {
-        clock.set(Timestamp::from_secs(i64::try_from(i).unwrap() * 10 + 10));
-        ids.push(
-            rel.insert(
-                ObjectId::new(1),
-                iv(*b, *e),
-                vec![(AttrName::new("project"), Value::str(p))],
-            )
-            .unwrap(),
-        );
+        clock.set(Timestamp::from_secs(700 + i64::try_from(i).unwrap() * 10));
+        assignments.push(db.insert("staff", ObjectId::new(1), iv(b, e), project(p)).unwrap());
     }
-    clock.set(Timestamp::from_secs(40));
-    rel.modify(
-        ids[1],
-        iv(7, 14),
-        vec![(AttrName::new("project"), Value::str("caravel"))],
-    )
-    .unwrap();
+    clock.set(Timestamp::from_secs(740));
+    db.modify("staff", assignments[1], iv(7, 14), project("caravel")).unwrap();
 
-    // Representation 1: tuple store, current view.
-    let tuple_current: Vec<ElementId> = {
-        let mut v: Vec<ElementId> = rel.iter_current().map(|e| e.id).collect();
-        v.sort();
-        v
+    // Representations 1 and 2: every historical state of both relations,
+    // rolled back in place and rebuilt from the replayed log.
+    let states = |db: &DurableDatabase| -> Vec<Vec<Element>> {
+        (0..760)
+            .step_by(7)
+            .flat_map(|probe| {
+                let snap = db.db().snapshot_at(Timestamp::from_secs(probe));
+                ["SELECT FROM log", "SELECT FROM staff"]
+                    .map(|tql| snap.query(tql).unwrap().elements)
+            })
+            .collect()
     };
-    // Representation 2: backlog replay to now.
-    let backlog_current: Vec<ElementId> = rel
-        .backlog()
-        .unwrap()
-        .replay_current()
-        .keys()
-        .copied()
-        .collect();
-    assert_eq!(tuple_current, backlog_current);
+    let rolled_back = states(&db);
+    assert!(rolled_back.iter().any(|state| state.len() > 10));
+    drop(db);
+    let replayed = open(Arc::new(ManualClock::new(Timestamp::EPOCH)));
+    assert_eq!(states(&replayed), rolled_back);
 
     // Representation 3: attribute-stamped store, per-instant values.
-    let elements: Vec<Element> = rel.iter().cloned().collect();
-    let attr_store = AttributeStore::from_elements(&elements);
+    let staff: Vec<Element> = replayed
+        .db()
+        .with_relation("staff", |rel| rel.relation().iter().cloned().collect())
+        .unwrap();
+    let attr_store = AttributeStore::from_elements(&staff);
     assert!(attr_store.is_homogeneous());
     for probe in 0..21_i64 {
         let vt = Timestamp::from_secs(probe);
-        let tuple_answer = rel
-            .iter_current()
-            .filter(|e| e.valid.covers(vt))
+        let tuple_answer = staff
+            .iter()
+            .filter(|e| e.is_current() && e.valid.covers(vt))
             .max_by_key(|e| e.tt_begin)
             .and_then(|e| e.attr("project"));
         assert_eq!(

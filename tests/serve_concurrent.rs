@@ -22,7 +22,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tempora::design::dump::{dump_snapshot, restore};
-use tempora::serve::{render_elements, Client, ResponseStatus, ServeConfig, Server};
+use tempora::design::Database;
+use tempora::serve::{
+    handle_request, render_elements, Client, Response, ResponseStatus, ServeConfig, Server,
+};
 use tempora::time::{ManualClock, Timestamp};
 use tempora::wal::{DurabilityConfig, DurableDatabase, MemStorage};
 
@@ -102,6 +105,47 @@ fn split_elements(body: &str) -> String {
         Some((_stats, elements)) => elements.to_string(),
         None => String::new(),
     }
+}
+
+/// The differential oracle: the database's tt-prefix at `pin`, dumped and
+/// restored into a fresh in-memory database.
+fn restore_at_pin(db: &DurableDatabase, pin: i64) -> Database {
+    let snap = db.db().snapshot_at(Timestamp::from_micros(pin));
+    assert_eq!(snap.pin().micros(), pin);
+    restore(
+        Arc::new(ManualClock::new(Timestamp::from_secs(0))),
+        &dump_snapshot(&snap),
+    )
+    .expect("restore the pinned dump")
+}
+
+/// Regression test for the snapshot-pin race, replayed deterministically
+/// on one thread. A capture pinned at the clock's `now` could be followed
+/// by a write stamped with that same reading: the served answer then
+/// lacked the write while the replay at its pin had it.
+#[test]
+fn a_write_after_capture_is_never_inside_the_served_pin() {
+    use tempora::prelude::ObjectId;
+    let (db, clock) = open_served();
+    seed(&db, &clock);
+    clock.set(Timestamp::from_secs(20_000));
+    let captured = db.db().latest_snapshot();
+    db.insert("plant", ObjectId::new(1), Timestamp::from_secs(1), vec![])
+        .expect("insert after capture");
+    let tql = "SELECT FROM plant";
+    let response = Response::parse(&handle_request(&db, tql));
+    let ResponseStatus::Ok { pin: Some(pin) } = response.status else {
+        panic!("expected a pinned OK, got {response:?}");
+    };
+    for (pin, served) in [
+        (captured.pin(), render_elements(&captured.query(tql).expect("query"))),
+        (pin, split_elements(&response.body)),
+    ] {
+        let oracle = restore_at_pin(&db, pin.micros()).query(tql).expect("replay");
+        assert_eq!(render_elements(&oracle), served, "diverged at pin {pin}");
+    }
+    // The write invalidated the memo, so the request saw a fresh capture.
+    assert_ne!(pin, captured.pin(), "the write lies after the captured pin");
 }
 
 #[test]
@@ -233,15 +277,9 @@ fn concurrent_clients_always_see_a_consistent_pinned_snapshot() {
     let mut restored_by_pin = HashMap::new();
     let mut replayed = 0_usize;
     for o in &observed {
-        let restored = restored_by_pin.entry(o.pin).or_insert_with(|| {
-            let snap = db.db().snapshot_at(Timestamp::from_micros(o.pin));
-            assert_eq!(snap.pin().micros(), o.pin);
-            restore(
-                Arc::new(ManualClock::new(Timestamp::from_secs(0))),
-                &dump_snapshot(&snap),
-            )
-            .expect("restore the pinned dump")
-        });
+        let restored = restored_by_pin
+            .entry(o.pin)
+            .or_insert_with(|| restore_at_pin(&db, o.pin));
         let oracle = restored.query(&o.tql).expect("replay query");
         assert_eq!(
             render_elements(&oracle),
