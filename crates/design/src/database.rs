@@ -174,9 +174,14 @@ impl Database {
     /// after any insert/delete/modify/batch/DDL the next call re-captures.
     /// This is the serving layer's read path: queries run against the
     /// returned snapshot without holding any database lock.
+    ///
+    /// Counts memo hits and misses (`tempora_snapshot_memo_hits_total`,
+    /// `tempora_snapshot_memo_misses_total`) and times each capture
+    /// (`tempora_snapshot_capture_seconds`).
     #[must_use]
     pub fn latest_snapshot(&self) -> Arc<DbSnapshot> {
         if let Some(cached) = self.snapshot_cache.read().as_ref() {
+            tempora_obs::counter("tempora_snapshot_memo_hits_total").inc();
             return Arc::clone(cached);
         }
         // Capture under the cache write lock: writers invalidate only
@@ -185,9 +190,13 @@ impl Database {
         // a stale snapshot can never be left masquerading as fresh.
         let mut slot = self.snapshot_cache.write();
         if let Some(cached) = slot.as_ref() {
+            tempora_obs::counter("tempora_snapshot_memo_hits_total").inc();
             return Arc::clone(cached);
         }
+        tempora_obs::counter("tempora_snapshot_memo_misses_total").inc();
+        let sw = tempora_obs::Stopwatch::start();
         let fresh = Arc::new(self.snapshot());
+        sw.record(&tempora_obs::histogram("tempora_snapshot_capture_seconds"));
         *slot = Some(Arc::clone(&fresh));
         fresh
     }
@@ -400,19 +409,16 @@ impl Database {
         Ok(())
     }
 
-    /// Executes a TQL `SELECT` statement.
+    /// Executes a TQL `SELECT` statement on the current state: the
+    /// memoized [`Self::latest_snapshot`] answers it, so this and
+    /// [`DbSnapshot::query`] are one executor.
     ///
     /// # Errors
     ///
     /// Returns [`DbError::Tql`] on parse failure or
     /// [`DbError::UnknownRelation`].
     pub fn query(&self, tql: &str) -> Result<QueryResult, DbError> {
-        let statement = parse_tql(tql)?;
-        let relations = self.relations.read();
-        let rel = relations
-            .get(&statement.relation)
-            .ok_or_else(|| DbError::UnknownRelation(statement.relation.clone()))?;
-        Ok(statement.filter(rel.execute(statement.query)))
+        self.latest_snapshot().query(tql)
     }
 
     /// Explains how a TQL `SELECT` would run, without executing it: the

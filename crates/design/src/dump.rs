@@ -33,18 +33,19 @@ use crate::ddl::{render_ddl, DdlError};
 use crate::snapshot::DbSnapshot;
 use tempora_core::Element;
 
-/// One replayable operation.
+/// One replayable operation. Dumping owns its relation names; restoring
+/// borrows them from the dump text.
 #[derive(Debug, Clone)]
-enum Op {
+enum Op<R = String> {
     Insert {
-        relation: String,
+        relation: R,
         element: ElementId,
         object: ObjectId,
         valid: ValidTime,
         attrs: Vec<(AttrName, Value)>,
     },
     Delete {
-        relation: String,
+        relation: R,
         element: ElementId,
     },
 }
@@ -176,19 +177,12 @@ pub fn restore_into(
     }
     // Schemas: DDL statements terminated by ';' until the DATA marker.
     let mut ddl_buf = String::new();
-    let mut data_lines: Vec<&str> = Vec::new();
-    let mut in_data = false;
-    for line in lines {
-        if in_data {
-            if !line.trim().is_empty() {
-                data_lines.push(line);
-            }
-        } else if line.trim() == "DATA" {
-            in_data = true;
-        } else {
-            ddl_buf.push_str(line);
-            ddl_buf.push('\n');
+    for line in lines.by_ref() {
+        if line.trim() == "DATA" {
+            break;
         }
+        ddl_buf.push_str(line);
+        ddl_buf.push('\n');
     }
     for statement in ddl_buf.split(';') {
         let statement = statement.trim();
@@ -197,33 +191,50 @@ pub fn restore_into(
         }
     }
 
-    // Replay ops grouped by transaction time; a delete+insert pair in the
-    // same relation at one tt is a modification.
-    let ops = parse_ops(&data_lines)?;
+    // Replay ops grouped by transaction time, parsing one group at a time
+    // so a restore never holds the whole history twice (as parsed ops and
+    // as restored elements); a delete+insert pair in the same relation at
+    // one tt is a modification.
+    let mut insert_counter: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut ops = lines
+        .filter(|line| !line.trim().is_empty())
+        .map(|line| parse_op(line, &mut insert_counter))
+        .peekable();
     // Map original element ids to restored ids, per relation.
-    let mut id_map: BTreeMap<(String, u64), ElementId> = BTreeMap::new();
-    let mut i = 0usize;
-    while i < ops.len() {
-        let tt = ops[i].0;
-        let mut group_end = i;
-        while group_end < ops.len() && ops[group_end].0 == tt {
-            group_end += 1;
+    let mut id_map: BTreeMap<(&str, u64), ElementId> = BTreeMap::new();
+    let mut group: Vec<Op<&str>> = Vec::new();
+    while let Some(first) = ops.next() {
+        let (tt, op) = first?;
+        group.push(op);
+        while let Some(Ok((next, _))) = ops.peek() {
+            if *next != tt {
+                break;
+            }
+            if let Some(Ok((_, op))) = ops.next() {
+                group.push(op);
+            }
         }
         set_tt(tt);
-        let group = &ops[i..group_end];
         // Pair one delete with one insert in the same relation → modify.
-        match group {
-            [(_, Op::Delete { relation: dr, element }), (_, Op::Insert { relation: ir, element: new_old_id, object: _, valid, attrs })]
-                if dr == ir =>
-            {
+        match group.as_mut_slice() {
+            [Op::Delete {
+                relation: dr,
+                element,
+            }, Op::Insert {
+                relation: ir,
+                element: new_old_id,
+                object: _,
+                valid,
+                attrs,
+            }] if dr == ir => {
                 let old = *id_map
-                    .get(&(dr.clone(), element.raw()))
+                    .get(&(*dr, element.raw()))
                     .ok_or_else(|| syntax("a previously inserted element", &element.to_string()))?;
-                let new_id = db.modify(dr, old, *valid, attrs.clone())?;
-                id_map.insert((ir.clone(), new_old_id.raw()), new_id);
+                let new_id = db.modify(dr, old, *valid, std::mem::take(attrs))?;
+                id_map.insert((*ir, new_old_id.raw()), new_id);
             }
             _ => {
-                for (_, op) in group {
+                for op in group.drain(..) {
                     match op {
                         Op::Insert {
                             relation,
@@ -232,89 +243,88 @@ pub fn restore_into(
                             valid,
                             attrs,
                         } => {
-                            let new_id = db.insert(relation, *object, *valid, attrs.clone())?;
-                            id_map.insert((relation.clone(), element.raw()), new_id);
+                            let new_id = db.insert(relation, object, valid, attrs)?;
+                            id_map.insert((relation, element.raw()), new_id);
                         }
                         Op::Delete { relation, element } => {
-                            let mapped = *id_map.get(&(relation.clone(), element.raw())).ok_or_else(
-                                || syntax("a previously inserted element", &element.to_string()),
-                            )?;
+                            let mapped =
+                                *id_map.get(&(relation, element.raw())).ok_or_else(|| {
+                                    syntax("a previously inserted element", &element.to_string())
+                                })?;
                             db.delete(relation, mapped)?;
                         }
                     }
                 }
             }
         }
-        i = group_end;
+        group.clear();
     }
     Ok(())
 }
 
-fn parse_ops(lines: &[&str]) -> Result<Vec<(Timestamp, Op)>, DbError> {
-    let mut ops = Vec::with_capacity(lines.len());
-    let mut insert_counter: BTreeMap<String, u64> = BTreeMap::new();
-    for line in lines {
-        let mut parts = line.split(' ');
-        let tt: i64 = parts
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| syntax("a transaction time", line))?;
-        let tt = Timestamp::from_micros(tt);
-        let kind = parts.next().ok_or_else(|| syntax("I or D", line))?;
-        let relation = parts
-            .next()
-            .ok_or_else(|| syntax("a relation name", line))?
-            .to_string();
-        match kind {
-            "I" => {
-                let object: u64 = parts
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| syntax("an object id", line))?;
-                let vt_tok = parts.next().ok_or_else(|| syntax("a valid time", line))?;
-                let valid = parse_valid(vt_tok).ok_or_else(|| syntax("a valid time", vt_tok))?;
-                let mut attrs = Vec::new();
-                for kv in parts {
-                    let (name, value) = kv
-                        .split_once('=')
-                        .ok_or_else(|| syntax("name=value", kv))?;
-                    attrs.push((
-                        AttrName::new(name),
-                        decode_value(value).ok_or_else(|| syntax("a typed value", value))?,
-                    ));
-                }
-                // Original element ids were assigned in insertion order.
-                let counter = insert_counter.entry(relation.clone()).or_insert(0);
-                let element = ElementId::new(*counter);
-                *counter += 1;
-                ops.push((
-                    tt,
-                    Op::Insert {
-                        relation,
-                        element,
-                        object: ObjectId::new(object),
-                        valid,
-                        attrs,
-                    },
+/// Parses one data line. `insert_counter` numbers each relation's inserts:
+/// original element ids were assigned in insertion order.
+fn parse_op<'a>(
+    line: &'a str,
+    insert_counter: &mut BTreeMap<&'a str, u64>,
+) -> Result<(Timestamp, Op<&'a str>), DbError> {
+    let mut parts = line.split(' ');
+    let tt: i64 = parts
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| syntax("a transaction time", line))?;
+    let tt = Timestamp::from_micros(tt);
+    let kind = parts.next().ok_or_else(|| syntax("I or D", line))?;
+    let relation = parts
+        .next()
+        .ok_or_else(|| syntax("a relation name", line))?;
+    match kind {
+        "I" => {
+            let object: u64 = parts
+                .next()
+                .and_then(|t| t.parse().ok())
+                .ok_or_else(|| syntax("an object id", line))?;
+            let vt_tok = parts.next().ok_or_else(|| syntax("a valid time", line))?;
+            let valid = parse_valid(vt_tok).ok_or_else(|| syntax("a valid time", vt_tok))?;
+            let mut attrs = Vec::new();
+            for kv in parts {
+                let (name, value) = kv
+                    .split_once('=')
+                    .ok_or_else(|| syntax("name=value", kv))?;
+                attrs.push((
+                    AttrName::new(name),
+                    decode_value(value).ok_or_else(|| syntax("a typed value", value))?,
                 ));
             }
-            "D" => {
-                let element: u64 = parts
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| syntax("an element id", line))?;
-                ops.push((
-                    tt,
-                    Op::Delete {
-                        relation,
-                        element: ElementId::new(element),
-                    },
-                ));
-            }
-            other => return Err(syntax("I or D", other)),
+            let counter = insert_counter.entry(relation).or_insert(0);
+            let element = ElementId::new(*counter);
+            *counter += 1;
+            Ok((
+                tt,
+                Op::Insert {
+                    relation,
+                    element,
+                    object: ObjectId::new(object),
+                    valid,
+                    attrs,
+                },
+            ))
         }
+        "D" => {
+            let element: u64 = parts
+                .next()
+                .and_then(|t| t.parse().ok())
+                .ok_or_else(|| syntax("an element id", line))?;
+            Ok((
+                tt,
+                Op::Delete {
+                    relation,
+                    element: ElementId::new(element),
+                },
+            ))
+        }
+        other => Err(syntax("I or D", other)),
     }
-    Ok(ops)
 }
 
 /// Renders a valid time in the dump's token form: `E<µs>` for events,

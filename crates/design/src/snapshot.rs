@@ -2,9 +2,10 @@
 //! one transaction tick.
 //!
 //! [`Database::snapshot`] captures the current state in O(chunks) per
-//! relation — sealed storage chunks are shared by `Arc`, only the mutable
-//! tails are copied — and the returned [`DbSnapshot`] answers TQL queries
-//! through the lock-free [`SnapshotRelation`] executor. Concurrent writers
+//! relation — sealed storage chunks and their index segments are shared
+//! by `Arc`, only the mutable tails are copied — and the returned
+//! [`DbSnapshot`] answers TQL queries through the lock-free
+//! [`SnapshotRelation`] executor. Concurrent writers
 //! proceed unimpeded: transaction time is append-only, so a snapshot is a
 //! prefix index plus a pin, never a data copy.
 //!
@@ -72,10 +73,10 @@ impl DbSnapshot {
         self.relations.get(name)
     }
 
-    /// Executes a TQL `SELECT` against the pinned view. Mirrors
-    /// [`Database::query`](crate::Database::query) — same parser, same
-    /// planner, same `WHERE` filtering — but runs lock-free on the
-    /// captured chunks.
+    /// Executes a TQL `SELECT` against the pinned view, lock-free on the
+    /// captured chunks and their index segments. This is the one TQL
+    /// executor: [`Database::query`](crate::Database::query) runs it on
+    /// the latest snapshot.
     ///
     /// # Errors
     ///

@@ -19,19 +19,19 @@ use tempora_time::{Interval, Timestamp};
 use tempora_core::ElementId;
 
 #[derive(Debug, Clone)]
-struct Node {
+struct Node<K> {
     center: i64,
     lo: i64,
     hi: i64,
     /// Intervals containing `center`, ordered by (begin, id).
-    by_begin: BTreeSet<(i64, ElementId)>,
+    by_begin: BTreeSet<(i64, K)>,
     /// The same intervals, ordered by (end, id) — scanned from the top.
-    by_end: BTreeSet<(i64, ElementId)>,
-    left: Option<Box<Node>>,
-    right: Option<Box<Node>>,
+    by_end: BTreeSet<(i64, K)>,
+    left: Option<Box<Node<K>>>,
+    right: Option<Box<Node<K>>>,
 }
 
-impl Node {
+impl<K: Copy + Ord> Node<K> {
     fn new(lo: i64, hi: i64) -> Self {
         Node {
             center: midpoint(lo, hi),
@@ -54,19 +54,23 @@ fn midpoint(lo: i64, hi: i64) -> i64 {
 }
 
 /// A dynamic interval index supporting stabbing and overlap queries.
+///
+/// Entries are keyed by `K`: element surrogates for the live executor's
+/// maintained index, element positions for the immutable index segments
+/// built beside sealed storage chunks.
 #[derive(Debug, Clone)]
-pub struct IntervalIndex {
-    root: Option<Box<Node>>,
+pub struct IntervalIndex<K = ElementId> {
+    root: Option<Box<Node<K>>>,
     len: usize,
 }
 
-impl Default for IntervalIndex {
+impl<K: Copy + Ord> Default for IntervalIndex<K> {
     fn default() -> Self {
         IntervalIndex::new()
     }
 }
 
-impl IntervalIndex {
+impl<K: Copy + Ord> IntervalIndex<K> {
     /// An empty index covering the full timestamp domain.
     #[must_use]
     pub fn new() -> Self {
@@ -86,7 +90,7 @@ impl IntervalIndex {
     }
 
     /// Indexes an interval (duplicate `(interval, id)` pairs are ignored).
-    pub fn insert(&mut self, interval: Interval, id: ElementId) {
+    pub fn insert(&mut self, interval: Interval, id: K) {
         let (b, e) = (interval.begin().micros(), interval.end().micros());
         let root = self.root.get_or_insert_with(|| {
             Box::new(Node::new(Timestamp::MIN.micros(), Timestamp::MAX.micros()))
@@ -97,7 +101,7 @@ impl IntervalIndex {
     }
 
     /// Removes an interval; returns whether it was present.
-    pub fn remove(&mut self, interval: Interval, id: ElementId) -> bool {
+    pub fn remove(&mut self, interval: Interval, id: K) -> bool {
         let (b, e) = (interval.begin().micros(), interval.end().micros());
         let Some(root) = self.root.as_mut() else {
             return false;
@@ -115,7 +119,7 @@ impl IntervalIndex {
     /// Elements whose interval covers the instant `t` (half-open
     /// semantics: `begin ≤ t < end`).
     #[must_use]
-    pub fn stab(&self, t: Timestamp) -> Vec<ElementId> {
+    pub fn stab(&self, t: Timestamp) -> Vec<K> {
         let mut out = Vec::new();
         let mut node = self.root.as_deref();
         let q = t.micros();
@@ -148,10 +152,10 @@ impl IntervalIndex {
     /// Elements whose interval overlaps `query` (shares at least one
     /// instant).
     #[must_use]
-    pub fn overlapping(&self, query: Interval) -> Vec<ElementId> {
+    pub fn overlapping(&self, query: Interval) -> Vec<K> {
         let mut out = Vec::new();
         let (qb, qe) = (query.begin().micros(), query.end().micros());
-        let mut stack: Vec<&Node> = self.root.as_deref().into_iter().collect();
+        let mut stack: Vec<&Node<K>> = self.root.as_deref().into_iter().collect();
         while let Some(n) = stack.pop() {
             if qe <= n.lo || qb > n.hi {
                 continue;
@@ -192,7 +196,7 @@ impl IntervalIndex {
     }
 }
 
-fn insert_rec(node: &mut Node, b: i64, e: i64, id: ElementId) -> bool {
+fn insert_rec<K: Copy + Ord>(node: &mut Node<K>, b: i64, e: i64, id: K) -> bool {
     // Half-open interval [b, e) contains center c iff b ≤ c < e.
     if e <= node.center {
         let (lo, hi) = (node.lo, node.center - 1);
@@ -215,7 +219,7 @@ fn insert_rec(node: &mut Node, b: i64, e: i64, id: ElementId) -> bool {
     }
 }
 
-fn remove_rec(node: &mut Node, b: i64, e: i64, id: ElementId) -> bool {
+fn remove_rec<K: Copy + Ord>(node: &mut Node<K>, b: i64, e: i64, id: K) -> bool {
     if e <= node.center {
         let Some(child) = node.left.as_mut() else {
             return false;

@@ -46,7 +46,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Default latency bucket upper bounds, in microseconds. Chosen to cover
@@ -179,7 +179,7 @@ impl Histogram {
             .iter()
             .position(|&b| us <= b)
             .unwrap_or(self.bounds_us.len());
-        let mut state = self.state.lock().expect("histogram poisoned");
+        let mut state = lock(&self.state);
         state.buckets[idx] += 1;
         state.sum_us = state.sum_us.saturating_add(us);
         state.count += 1;
@@ -192,12 +192,12 @@ impl Histogram {
     }
 
     fn sample(&self) -> (Vec<u64>, u64, u64) {
-        let state = self.state.lock().expect("histogram poisoned");
+        let state = lock(&self.state);
         (state.buckets.clone(), state.sum_us, state.count)
     }
 
     fn reset(&self) {
-        let mut state = self.state.lock().expect("histogram poisoned");
+        let mut state = lock(&self.state);
         state.buckets.iter_mut().for_each(|b| *b = 0);
         state.sum_us = 0;
         state.count = 0;
@@ -235,6 +235,14 @@ impl Stopwatch {
     }
 }
 
+/// Locks one of this crate's mutexes, recovering a poisoned guard. Every
+/// critical section here cannot leave its data half-updated (one map
+/// lookup-or-insert, a few integer adds, a ring-buffer push), so a panic
+/// elsewhere must not turn every later metric call into a second panic.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct Registry {
     counters: Mutex<BTreeMap<Key, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<Key, Arc<Gauge>>>,
@@ -261,13 +269,13 @@ pub fn counter_with(name: &'static str, label_key: &'static str, label_value: &s
 }
 
 fn counter_key(name: &'static str, label: Option<(&'static str, String)>) -> Arc<Counter> {
-    let mut map = registry().counters.lock().expect("registry poisoned");
+    let mut map = lock(&registry().counters);
     Arc::clone(map.entry((name, label)).or_default())
 }
 
 /// The unlabelled gauge `name`, registering it on first use.
 pub fn gauge(name: &'static str) -> Arc<Gauge> {
-    let mut map = registry().gauges.lock().expect("registry poisoned");
+    let mut map = lock(&registry().gauges);
     Arc::clone(map.entry((name, None)).or_default())
 }
 
@@ -286,7 +294,7 @@ pub fn histogram_with(
 }
 
 fn histogram_key(name: &'static str, label: Option<(&'static str, String)>) -> Arc<Histogram> {
-    let mut map = registry().histograms.lock().expect("registry poisoned");
+    let mut map = lock(&registry().histograms);
     Arc::clone(map.entry((name, label)).or_insert_with(|| Arc::new(Histogram::new())))
 }
 
@@ -294,16 +302,16 @@ fn histogram_key(name: &'static str, label: Option<(&'static str, String)>) -> A
 /// Registrations themselves survive, so cached handles stay valid.
 pub fn reset() {
     let reg = registry();
-    for c in reg.counters.lock().expect("registry poisoned").values() {
+    for c in lock(&reg.counters).values() {
         c.reset();
     }
-    for g in reg.gauges.lock().expect("registry poisoned").values() {
+    for g in lock(&reg.gauges).values() {
         g.reset();
     }
-    for h in reg.histograms.lock().expect("registry poisoned").values() {
+    for h in lock(&reg.histograms).values() {
         h.reset();
     }
-    traces().lock().expect("traces poisoned").clear();
+    lock(traces()).clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -412,7 +420,7 @@ impl Drop for SpanGuard {
             start_us: self.start_us,
             duration_us: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
         };
-        let mut buf = traces().lock().expect("traces poisoned");
+        let mut buf = lock(traces());
         if buf.len() == TRACE_CAPACITY {
             buf.pop_front();
         }
@@ -424,7 +432,7 @@ impl Drop for SpanGuard {
 /// on completion, so a child appears before its enclosing parent.
 #[must_use]
 pub fn recent_traces(n: usize) -> Vec<TraceEvent> {
-    let buf = traces().lock().expect("traces poisoned");
+    let buf = lock(traces());
     buf.iter().rev().take(n).rev().cloned().collect()
 }
 
@@ -475,10 +483,7 @@ pub struct MetricsSnapshot {
 #[must_use]
 pub fn snapshot() -> MetricsSnapshot {
     let reg = registry();
-    let counters = reg
-        .counters
-        .lock()
-        .expect("registry poisoned")
+    let counters = lock(&reg.counters)
         .iter()
         .map(|((name, label), c)| Sample {
             name,
@@ -486,10 +491,7 @@ pub fn snapshot() -> MetricsSnapshot {
             value: c.get(),
         })
         .collect();
-    let gauges = reg
-        .gauges
-        .lock()
-        .expect("registry poisoned")
+    let gauges = lock(&reg.gauges)
         .iter()
         .map(|((name, label), g)| Sample {
             name,
@@ -497,10 +499,7 @@ pub fn snapshot() -> MetricsSnapshot {
             value: g.get(),
         })
         .collect();
-    let histograms = reg
-        .histograms
-        .lock()
-        .expect("registry poisoned")
+    let histograms = lock(&reg.histograms)
         .iter()
         .map(|((name, label), h)| {
             let (buckets, sum_us, count) = h.sample();
@@ -785,6 +784,29 @@ mod tests {
         assert_eq!(snap.counter_labelled("t_requests_total", "a"), Some(5));
         assert_eq!(snap.counter_labelled("t_requests_total", "b"), Some(1));
         assert_eq!(snap.counter_total("t_requests_total"), 6);
+    }
+
+    #[test]
+    fn a_panic_under_the_registry_lock_does_not_cascade() {
+        let before = counter("t_poison_survivor_total");
+        before.inc();
+        let poisoner = std::thread::spawn(|| {
+            let _held = lock(&registry().counters);
+            panic!("panic while holding the counters lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(registry().counters.is_poisoned());
+        // Registration, recording and snapshots keep working.
+        let after = counter("t_poison_survivor_total");
+        after.inc();
+        counter_with("t_poison_labelled_total", "kind", "x").add(3);
+        let snap = snapshot();
+        assert_eq!(snap.counter_total("t_poison_survivor_total"), 2);
+        assert_eq!(
+            snap.counter_labelled("t_poison_labelled_total", "x"),
+            Some(3)
+        );
+        assert!(snap.to_prometheus().contains("t_poison_survivor_total 2"));
     }
 
     #[test]

@@ -10,13 +10,20 @@
 //! after the pin are undone (their `tt_end` is clamped back to "current").
 //!
 //! Queries reuse the specialization-driven planner
-//! ([`crate::plan_query_annotated`]); plans that need a maintained
-//! auxiliary index (point probe, interval stab) degrade to a prefix scan,
-//! while order-exploiting plans (tt-prefix, tt-window, append-order
-//! search) keep their binary searches — those need only the base order,
-//! which the view preserves. The executor takes no locks and touches no
-//! shared mutable state: a server thread can run it while ingest batches
-//! apply and WAL appends proceed.
+//! ([`crate::plan_query_annotated`]), and every plan keeps its access
+//! path. Order-exploiting plans (tt-prefix, tt-window, append-order
+//! search) binary-search the base order, which the view preserves. Point
+//! probes, interval probes and object scans go through the immutable index
+//! segments built when each storage chunk sealed (see
+//! [`tempora_storage::chunks`]): positions at or past the visible prefix
+//! are dropped, the pinned predicate filters the rest, and hits come back
+//! in position order — the order a prefix scan would return them. The
+//! executor takes no locks and touches no shared mutable state: a server
+//! thread can run it while ingest batches apply and WAL appends proceed.
+//!
+//! Each execution adds its element counts to
+//! `tempora_query_examined_total{strategy}` and
+//! `tempora_query_returned_total{strategy}`.
 
 use std::sync::Arc;
 
@@ -101,45 +108,38 @@ impl SnapshotRelation {
     }
 
     fn run(&self, query: Query, plan: Plan, residual: Residual) -> QueryResult {
-        // Index-backed probes have no index in a snapshot; they degrade
-        // to the visible-prefix scan and are reported as such.
-        let strategy = match plan {
-            Plan::PointProbe { .. } | Plan::IntervalProbe { .. } => "snapshot-scan",
-            _ => plan.strategy_name(),
-        };
+        let strategy = plan.strategy_name();
         let _span = tempora_obs::span_with("snapshot-query-execute", strategy);
         let sw = tempora_obs::Stopwatch::start();
         let pin = self.pin;
-        let mut examined = 0usize;
-        let mut elements: Vec<Element> = Vec::new();
+        let visible = self.visible;
         let predicate: Box<dyn Fn(&Element) -> bool> = match (plan, residual) {
-            // An object scan has no partition map in a view; the filtered
-            // prefix scan below relies on the object filter being the
-            // whole predicate (deleted elements stay in a life-line).
+            // A life-line includes deleted elements: the object filter is
+            // the whole predicate.
             (Plan::ObjectScan { object }, _) => Box::new(move |e| e.object == object),
             (_, Residual::Full) => pinned_predicate(query, pin),
             (_, Residual::CurrencyOnly) => Box::new(move |e| e.existed_at(pin)),
         };
-        let mut scan = |range: std::ops::Range<usize>, examined: &mut usize| {
-            for e in self.elements.range(range) {
-                *examined += 1;
-                if predicate(e) {
-                    elements.push(clamp_to_pin(e, pin));
-                }
-            }
+        // Probes name positions; a view without the probed key (never
+        // planned, since plan and key both follow `select_index`) falls
+        // back to the visible prefix.
+        let probed = |positions: Option<Vec<usize>>| {
+            positions.map_or(Candidates::Range(0..visible), Candidates::Positions)
         };
-
-        match plan {
-            Plan::FullScan | Plan::PointProbe { .. } | Plan::IntervalProbe { .. } => {
-                scan(0..self.visible, &mut examined);
-            }
+        let candidates = match plan {
+            Plan::FullScan => Candidates::Range(0..visible),
             Plan::TtPrefixScan { tt } => {
                 let eff = tt.min(pin);
-                let cut = self.elements.partition_point(|e| e.tt_begin <= eff);
-                scan(0..cut, &mut examined);
+                Candidates::Range(0..self.elements.partition_point(|e| e.tt_begin <= eff))
             }
-            Plan::ObjectScan { .. } => {
-                scan(0..self.visible, &mut examined);
+            Plan::ObjectScan { object } => {
+                Candidates::Positions(self.elements.object_positions(object, visible))
+            }
+            Plan::PointProbe { from, to } => {
+                probed(self.elements.point_positions(from, to, visible))
+            }
+            Plan::IntervalProbe { from, to } => {
+                probed(self.elements.interval_positions(from, to, visible))
             }
             Plan::AppendOrderSearch { from, to } => {
                 if self.schema.is_degenerate() || self.schema.is_vt_ordered() {
@@ -148,14 +148,14 @@ impl SnapshotRelation {
                     let lo = self
                         .elements
                         .partition_point(|e| e.valid.begin() < from)
-                        .min(self.visible);
+                        .min(visible);
                     let hi = self
                         .elements
                         .partition_point(|e| e.valid.begin() < to)
-                        .min(self.visible);
-                    scan(lo..hi, &mut examined);
+                        .min(visible);
+                    Candidates::Range(lo..hi)
                 } else {
-                    scan(0..self.visible, &mut examined);
+                    Candidates::Range(0..visible)
                 }
             }
             Plan::TtWindowScan { band, from, to } => {
@@ -165,9 +165,25 @@ impl SnapshotRelation {
                 let hi_edge = hi_edge.min(pin);
                 let start = self.elements.partition_point(|e| e.tt_begin < lo_edge);
                 let end = self.elements.partition_point(|e| e.tt_begin <= hi_edge);
-                scan(start..end, &mut examined);
+                Candidates::Range(start..end)
             }
-            Plan::EmptyScan => {}
+            Plan::EmptyScan => Candidates::Range(0..0),
+        };
+
+        let mut examined = 0usize;
+        let mut elements: Vec<Element> = Vec::new();
+        let mut visit = |e: &Element| {
+            examined += 1;
+            if predicate(e) {
+                elements.push(clamp_to_pin(e, pin));
+            }
+        };
+        match candidates {
+            Candidates::Range(range) => self.elements.range(range).for_each(&mut visit),
+            Candidates::Positions(positions) => positions
+                .into_iter()
+                .filter_map(|p| self.elements.get(p))
+                .for_each(&mut visit),
         }
         sw.record(&tempora_obs::histogram_with(
             "tempora_query_exec_seconds",
@@ -175,6 +191,10 @@ impl SnapshotRelation {
             strategy,
         ));
         let returned = elements.len();
+        tempora_obs::counter_with("tempora_query_examined_total", "strategy", strategy)
+            .add(examined as u64);
+        tempora_obs::counter_with("tempora_query_returned_total", "strategy", strategy)
+            .add(returned as u64);
         QueryResult {
             elements,
             stats: ExecStats {
@@ -184,6 +204,13 @@ impl SnapshotRelation {
             },
         }
     }
+}
+
+/// What a plan visits: a contiguous run of positions, or the ascending
+/// positions an index segment probe named.
+enum Candidates {
+    Range(std::ops::Range<usize>),
+    Positions(Vec<usize>),
 }
 
 /// An element as the pinned image stored it: a deletion stamped after the
@@ -336,6 +363,8 @@ mod tests {
 
     #[test]
     fn index_probes_degrade_to_prefix_scan_but_stay_exact() {
+        // Named for the behaviour it used to pin down: probes now go
+        // through the index segments and examine only their hits.
         let schema = RelationSchema::builder("r", Stamping::Event).build().unwrap();
         let clock = Arc::new(ManualClock::new(ts(0)));
         let mut rel = IndexedRelation::new(schema, clock.clone());
@@ -347,7 +376,8 @@ mod tests {
         let live = rel.execute(Query::Timeslice { vt: ts(50_000) });
         assert_eq!(live.stats.strategy, "point-probe");
         let snapped = snap.execute(Query::Timeslice { vt: ts(50_000) });
-        assert_eq!(snapped.stats.strategy, "snapshot-scan");
+        assert_eq!(snapped.stats.strategy, "point-probe");
+        assert_eq!(snapped.stats.examined, 1);
         assert_eq!(sorted_ids(&snapped.elements), sorted_ids(&live.elements));
     }
 

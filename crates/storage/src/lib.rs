@@ -29,7 +29,9 @@
 //!   `t` sees an immutable prefix, and
 //!   [`TemporalRelation::snapshot_elements`] hands that prefix out as a
 //!   cheap [`ElementChunks`] view that never blocks (or is blocked by)
-//!   writers.
+//!   writers. Immutable index segments built when a chunk seals (valid
+//!   time and object, keyed by position) travel with the view, so pinned
+//!   probes stay binary searches.
 //!
 //! §2 also lists "a backlog relation of insertion, modification, and
 //! deletion operations" (\[JMRS90\]). In this system that operation log is
@@ -49,7 +51,7 @@ mod store;
 pub mod vacuum;
 
 pub use attribute_store::{AttributeHistory, AttributeStore};
-pub use chunks::{ChunkedElements, ElementChunks, CHUNK_CAP};
+pub use chunks::{ChunkedElements, ElementChunks, VtKey, CHUNK_CAP};
 pub use ingest::{BatchRecord, BatchReport};
 pub use relation::{Enforcement, RelationStats, TemporalRelation};
 pub use store::ElementStore;

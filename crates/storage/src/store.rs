@@ -27,7 +27,7 @@ use tempora_time::Timestamp;
 
 use tempora_core::{CoreError, Element, ElementId, ObjectId, RelationSchema};
 
-use crate::chunks::{ChunkedElements, ElementChunks};
+use crate::chunks::{ChunkedElements, ElementChunks, VtKey};
 
 /// Tuple-time-stamped element storage in arrival (transaction-time) order.
 ///
@@ -46,9 +46,6 @@ pub struct ElementStore {
     /// workloads (a served database's UPDATE/DELETE traffic) would
     /// otherwise go quadratic.
     by_id: HashMap<ElementId, usize>,
-    /// Every element ever stored per object (the per-surrogate partitions,
-    /// §2/§3), in insertion order; current elements are filtered on read.
-    by_object: HashMap<ObjectId, Vec<ElementId>>,
     /// Whether the schema guarantees valid-time-ordered arrival.
     vt_ordered: bool,
     /// Elements examined while locating delete targets (cumulative).
@@ -64,9 +61,8 @@ impl ElementStore {
     #[must_use]
     pub fn new(schema: &RelationSchema) -> Self {
         ElementStore {
-            elements: ChunkedElements::new(),
+            elements: ChunkedElements::new(VtKey::for_schema(schema)),
             by_id: HashMap::new(),
-            by_object: HashMap::new(),
             vt_ordered: schema.is_degenerate() || schema.is_vt_ordered(),
             locate_probes: 0,
         }
@@ -139,10 +135,6 @@ impl ElementStore {
             element.attrs = element.attrs.to_vec();
         }
         self.by_id.insert(element.id, self.elements.len());
-        self.by_object
-            .entry(element.object)
-            .or_default()
-            .push(element.id);
         self.elements.push(element);
         Ok(())
     }
@@ -204,13 +196,13 @@ impl ElementStore {
     }
 
     /// Every element ever stored for one object, in insertion order —
-    /// the full life-line including logically deleted elements.
+    /// the full life-line including logically deleted elements (the
+    /// per-surrogate partition, §2/§3, read from the chunks' object index).
     pub fn iter_object_history(&self, object: ObjectId) -> impl Iterator<Item = &Element> + '_ {
-        self.by_object
-            .get(&object)
+        self.elements
+            .object_positions(object)
             .into_iter()
-            .flatten()
-            .filter_map(|id| self.get(*id))
+            .filter_map(|p| self.elements.get(p))
     }
 
     /// Elements with `tt_b` in the inclusive window `[lo, hi]` — a binary-
@@ -284,12 +276,10 @@ impl ElementStore {
             .collect();
         if kept.len() != before {
             self.by_id.clear();
-            self.by_object.clear();
             for (i, e) in kept.iter().enumerate() {
                 self.by_id.insert(e.id, i);
-                self.by_object.entry(e.object).or_default().push(e.id);
             }
-            self.elements = ChunkedElements::from_vec(kept);
+            self.elements = ChunkedElements::from_vec(self.elements.vt_key(), kept);
         }
         before - self.elements.len()
     }

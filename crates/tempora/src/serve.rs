@@ -35,10 +35,11 @@
 //!
 //! Per-connection socket timeouts bound how long a stalled peer can hold
 //! a worker; a bounded in-flight gate sheds load with retriable `BUSY`
-//! responses; a degraded WAL ([`WalError::Degraded`]) turns writes into
-//! `READONLY` responses carrying the parked-frame diagnostic while reads
-//! keep flowing; and [`Server::shutdown`] drains gracefully — stop
-//! accepting, finish in-flight requests, checkpoint, close.
+//! responses; a request that panics is answered `ERR internal` and gives
+//! its in-flight slot back; a degraded WAL ([`WalError::Degraded`]) turns
+//! writes into `READONLY` responses carrying the parked-frame diagnostic
+//! while reads keep flowing; and [`Server::shutdown`] drains gracefully —
+//! stop accepting, finish in-flight requests, checkpoint, close.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -419,32 +420,69 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         let response = match String::from_utf8(payload) {
             Err(_) => "ERR request is not UTF-8".to_string(),
             Ok(text) => {
-                let inflight = shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-                tempora_obs::gauge("tempora_serve_inflight").set(inflight as i64);
-                let response = if inflight > shared.config.max_inflight {
+                let slot = InflightSlot::acquire(
+                    &shared.inflight,
+                    tempora_obs::gauge("tempora_serve_inflight"),
+                );
+                if slot.count > shared.config.max_inflight {
                     tempora_obs::counter("tempora_serve_busy_rejections_total").inc();
                     format!(
-                        "BUSY {inflight} request(s) in flight (limit {}); retry",
-                        shared.config.max_inflight
+                        "BUSY {} request(s) in flight (limit {}); retry",
+                        slot.count, shared.config.max_inflight
                     )
                 } else {
                     tempora_obs::counter("tempora_serve_requests_total").inc();
                     let from = std::time::Instant::now();
-                    let response = handle_request(&shared.db, &text);
-                    tempora_obs::histogram("tempora_serve_request_seconds").record_us(
-                        u64::try_from(from.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    );
+                    let response = contain_panics(|| handle_request(&shared.db, &text));
+                    tempora_obs::histogram("tempora_serve_request_seconds")
+                        .record_us(u64::try_from(from.elapsed().as_micros()).unwrap_or(u64::MAX));
                     response
-                };
-                let now = shared.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
-                tempora_obs::gauge("tempora_serve_inflight").set(now as i64);
-                response
+                }
             }
         };
         if write_frame(&mut stream, response.as_bytes()).is_err() {
             break;
         }
     }
+}
+
+/// One request's in-flight slot: taken before dispatch and given back on
+/// drop, so a request that panics cannot leak it (after `max_inflight`
+/// leaks every request would get `BUSY`). `gauge` mirrors the count.
+struct InflightSlot<'a> {
+    inflight: &'a AtomicUsize,
+    gauge: Arc<tempora_obs::Gauge>,
+    /// In-flight requests including this one, at acquisition.
+    count: usize,
+}
+
+impl<'a> InflightSlot<'a> {
+    fn acquire(inflight: &'a AtomicUsize, gauge: Arc<tempora_obs::Gauge>) -> Self {
+        let count = inflight.fetch_add(1, Ordering::SeqCst) + 1;
+        gauge.set(count as i64);
+        InflightSlot {
+            inflight,
+            gauge,
+            count,
+        }
+    }
+}
+
+impl Drop for InflightSlot<'_> {
+    fn drop(&mut self) {
+        let now = self.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
+        self.gauge.set(now as i64);
+    }
+}
+
+/// Runs a request handler, turning a panic into an `ERR internal`
+/// response (counted in `tempora_serve_panics_total`) so the connection
+/// and its worker survive.
+fn contain_panics(handler: impl FnOnce() -> String) -> String {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|_| {
+        tempora_obs::counter("tempora_serve_panics_total").inc();
+        "ERR internal".to_string()
+    })
 }
 
 /// A response's status line, parsed.
@@ -705,6 +743,32 @@ mod tests {
         let refusal = Response::parse(std::str::from_utf8(&refusal).expect("utf8"));
         assert!(refusal.is_retriable(), "{refusal:?}");
         drop(server);
+    }
+
+    #[test]
+    fn a_panicking_request_releases_its_inflight_slot() {
+        let inflight = AtomicUsize::new(0);
+        let gauge = tempora_obs::gauge("t_serve_inflight_slot");
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let slot = InflightSlot::acquire(&inflight, Arc::clone(&gauge));
+            assert_eq!(slot.count, 1);
+            assert_eq!(gauge.get(), 1);
+            panic!("handler panicked mid-request");
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(inflight.load(Ordering::SeqCst), 0, "slot leaked");
+        assert_eq!(gauge.get(), 0, "gauge out of step with the count");
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_err_internal() {
+        let panics = tempora_obs::counter("tempora_serve_panics_total");
+        let before = panics.get();
+        let response = contain_panics(|| panic!("boom"));
+        assert_eq!(Response::parse(&response).status, ResponseStatus::Error);
+        assert_eq!(response, "ERR internal");
+        assert!(panics.get() > before);
+        assert_eq!(contain_panics(|| "OK -".to_string()), "OK -");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Runtime semantics of the process-global recorder, exercised through
 //! real storage traffic: disabled mode freezes every instrument, `reset`
 //! clears the registry, and snapshots taken *while* the shard worker pool
-//! is checking a batch are internally consistent.
+//! is checking a batch are internally consistent, and served probes move
+//! the read-path instruments by exactly what their responses report.
 //!
 //! Like `obs_differential`, this is a dedicated binary with a single
 //! `#[test]`: `set_enabled` and `reset` are process-global, so the
@@ -11,6 +12,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use tempora::prelude::*;
+use tempora::serve::handle_request;
+use tempora::wal::{DurabilityConfig, DurableDatabase, MemStorage};
 
 fn conforming_batch(n: usize, origin: Timestamp) -> Vec<BatchRecord> {
     (0..n)
@@ -111,7 +114,75 @@ fn recorder_runtime_semantics() {
     let snapshots = reader.join().expect("snapshot reader");
     assert!(snapshots > 0, "the reader raced at least one snapshot");
 
-    // --- Section 4: reset leaves a clean registry behind for later tests.
+    // --- Section 4: served probes export the read-path instruments. The
+    // executor's examined/returned counters add up to exactly the stats
+    // lines the responses carried, per strategy, and every memo miss is
+    // one timed capture.
+    tempora::obs::reset();
+    let (db, _) = DurableDatabase::open(
+        Arc::new(MemStorage::new()),
+        Arc::new(ManualClock::new(origin)),
+        DurabilityConfig::default(),
+    )
+    .expect("open");
+    db.execute_ddl("CREATE TEMPORAL RELATION probe (k KEY, r VARYING) AS EVENT WITH RETROACTIVE")
+        .expect("ddl");
+    let report = db
+        .apply_batch("probe", conforming_batch(3_000, origin))
+        .expect("batch");
+    assert!(report.all_accepted());
+    let vt = |i: i64| (origin - TimeDelta::from_secs(i)).to_string();
+    let requests = [
+        format!("SELECT FROM probe AT {}", vt(1)),
+        format!("SELECT FROM probe AT {}", vt(17)),
+        "SELECT FROM probe HISTORY OF 3".to_string(),
+        "SELECT FROM probe".to_string(),
+        format!("SELECT FROM probe AT {}", vt(5_000)),
+    ];
+    let mut served: std::collections::BTreeMap<String, (u64, u64)> = Default::default();
+    for (i, tql) in requests.iter().enumerate() {
+        if i == 3 {
+            // A write between reads: the next read misses the memo.
+            db.execute(&format!("INSERT INTO probe OBJECT 1 VALID {}", vt(2)))
+                .expect("insert");
+        }
+        let response = handle_request(&db, tql);
+        let stats = response.lines().nth(1).expect("stats line");
+        let (strategy, counts) = stats.split_once(": ").expect("strategy: counts");
+        let words: Vec<&str> = counts.split_whitespace().collect();
+        let entry = served.entry(strategy.to_string()).or_default();
+        entry.0 += words[1].parse::<u64>().expect("examined");
+        entry.1 += words[3].parse::<u64>().expect("returned");
+    }
+    let snap = tempora::obs::snapshot();
+    // 3000 records cycle through 400 valid times: eight share each probed
+    // instant, and the far probe finds none.
+    assert_eq!(served["point-probe"], (16, 16));
+    for (strategy, (examined, returned)) in &served {
+        assert_eq!(
+            snap.counter_labelled("tempora_query_examined_total", strategy),
+            Some(*examined),
+            "{strategy} examined"
+        );
+        assert_eq!(
+            snap.counter_labelled("tempora_query_returned_total", strategy),
+            Some(*returned),
+            "{strategy} returned"
+        );
+    }
+    assert_eq!(
+        snap.counter_total("tempora_query_examined_total"),
+        served.values().map(|c| c.0).sum::<u64>()
+    );
+    let misses = snap.counter_total("tempora_snapshot_memo_misses_total");
+    assert_eq!(misses, 2, "first read, and the first read after the write");
+    assert_eq!(snap.counter_total("tempora_snapshot_memo_hits_total"), 3);
+    assert_eq!(
+        snap.histogram_count("tempora_snapshot_capture_seconds"),
+        misses
+    );
+
+    // --- Section 5: reset leaves a clean registry behind for later tests.
     tempora::obs::reset();
     assert_eq!(tempora::obs::snapshot().counter_total("tempora_ingest_records_total"), 0);
 }
