@@ -1,13 +1,17 @@
 //! WAL append throughput under the three fsync policies — the price of
 //! durability per acknowledged insert.
 //!
-//! `always` pays one fsync per commit (the safe default), `group:N`
-//! amortizes the barrier over N commits, and `never` measures the pure
-//! logging overhead (frame encode + buffered write). Real directories, so
-//! the `always`/`group` numbers include genuine disk barriers.
+//! `always` pays one fsync per commit for a lone writer (the safe
+//! default), `group:N` amortizes the barrier over N commits, and `never`
+//! measures the pure logging overhead (frame encode + buffered write).
+//! `fsync_always_8_writers` is `always` under concurrency: eight threads
+//! commit at once and share barriers, reported as aggregate throughput.
+//! Real directories, so the `always`/`group` numbers include genuine disk
+//! barriers.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use tempora::prelude::*;
 use tempora::wal::{DirStorage, DurabilityConfig, DurableDatabase, FsyncPolicy};
@@ -61,6 +65,47 @@ fn bench_wal_append(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     }
     group.finish();
+    concurrent_always(&base.join("fsync_always_8_writers"));
+}
+
+/// Eight writers inserting for a fixed window under `always`; prints the
+/// aggregate cost per acknowledged insert and inserts/s.
+fn concurrent_always(dir: &std::path::Path) {
+    const WRITERS: u64 = 8;
+    const WINDOW: Duration = Duration::from_secs(3);
+    let (db, _clock) = open(dir, FsyncPolicy::Always);
+    let start = Instant::now();
+    let inserts: u64 = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let db = &db;
+                s.spawn(move || {
+                    let mut n = 0_u64;
+                    while start.elapsed() < WINDOW {
+                        db.insert(
+                            "plant",
+                            ObjectId::new(w),
+                            Timestamp::from_secs(500),
+                            vec![(AttrName::new("reading"), Value::Int((n % 97) as i64))],
+                        )
+                        .expect("durable insert");
+                        n += 1;
+                    }
+                    n
+                })
+            })
+            .collect();
+        writers.into_iter().map(|h| h.join().expect("writer")).sum()
+    });
+    let secs = start.elapsed().as_secs_f64();
+    println!(
+        "{:<50} {:>14.0} ns/insert aggregate ({inserts} inserts, {WRITERS} writers, ~{:.1} k inserts/s)",
+        "wal_append/fsync_always_8_writers",
+        secs * 1e9 / inserts as f64,
+        inserts as f64 / secs / 1e3
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 criterion_group!(benches, bench_wal_append);

@@ -42,7 +42,7 @@ use tempora::time::RecoveryClock;
 /// network client speaking to a `tempora-serve` instance.
 enum Session {
     Volatile(Database),
-    Durable(DurableDatabase),
+    Durable(Box<DurableDatabase>),
     Remote(Client),
 }
 
@@ -95,7 +95,7 @@ fn open_durable(dir: &str, policy: FsyncPolicy) -> Result<Session, String> {
     match DurableDatabase::open(storage, clock, DurabilityConfig::with_fsync(policy)) {
         Ok((db, recovery)) => {
             println!("opened {dir} ({recovery})");
-            Ok(Session::Durable(db))
+            Ok(Session::Durable(Box::new(db)))
         }
         Err(e) => Err(format!("cannot open {dir}: {e}")),
     }

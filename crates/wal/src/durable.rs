@@ -14,6 +14,32 @@
 //! nothing — the new checkpoint already contains everything the old pair
 //! did.
 //!
+//! ## Commit: leader/follower group commit
+//!
+//! Every write goes through one commit path in two steps:
+//!
+//! 1. Under the writer lock: apply to the in-memory database, encode, and
+//!    append the frames — no fsync. Each appended frame gets a log
+//!    sequence number (LSN) from a count that keeps increasing across
+//!    epochs; the highest one is published in an atomic.
+//! 2. Release the lock, then apply the [`FsyncPolicy`]. Under `always`
+//!    the commit waits until the durable LSN covers its last frame. The
+//!    first waiter that finds no fsync in flight becomes the *leader*: it
+//!    reads the highest appended LSN, syncs the log through a second
+//!    handle (a [`Barrier`]), publishes that LSN as durable, and wakes
+//!    every waiter. Waiters still uncovered elect the next leader.
+//!    `group:<n>` waits only until at most `n − 1` of its own and earlier
+//!    frames are uncovered, which syncs once per `n` appends;
+//!    `never` does not wait.
+//!
+//! While one writer's fsync is in flight the next applies and appends,
+//! and one barrier covers every frame appended before it began, so
+//! concurrent writers share barriers. This is safe because transaction
+//! time is append-only (§2): frames are stamped and appended in log order
+//! under one lock, so any durable byte prefix of the log is a
+//! transaction-time prefix — a rollback state — and a commit is
+//! acknowledged only once the prefix holding it is durable.
+//!
 //! ## Degraded mode
 //!
 //! A write whose WAL append keeps failing (after
@@ -22,14 +48,20 @@
 //! flips the database read-only: the operation stays applied in memory but
 //! is *not acknowledged as durable*, and every later write is refused with
 //! [`WalError::Degraded`] until [`DurableDatabase::retry`] manages to
-//! flush the parked frames. An fsync failure degrades the same way (the
-//! frame is in the log but behind no durability barrier); `retry` then
-//! only needs the barrier to succeed.
+//! flush the parked frames. A failed barrier degrades the same way and
+//! answers `Degraded` to every waiter it did not cover (their frames are
+//! in the log but behind no barrier); `retry` then only needs a barrier to
+//! succeed. A panic under the writer lock (a contained panic in a served
+//! write) also degrades the database, for good: the in-memory state may
+//! have run ahead of the log, so only reopening — recovery from the log —
+//! restores writability. Reads and [`DurableDatabase::status`] keep
+//! working throughout.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::io;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use tempora_core::{AttrName, ElementId, ObjectId, RelationSchema, ValidTime, Value};
 use tempora_design::dump::{dump, restore_into};
@@ -40,7 +72,7 @@ use tempora_time::{RecoveryClock, Timestamp, TransactionClock};
 
 use crate::frame::{scan, ScanStop};
 use crate::io::Storage;
-use crate::log::{FsyncPolicy, Wal};
+use crate::log::{Barrier, FsyncPolicy, Wal};
 use crate::record::WalRecord;
 
 /// Errors from the durability layer.
@@ -56,7 +88,8 @@ pub enum WalError {
     /// the recovery would be silently skewed, so it is refused.
     ReplayDivergence(String),
     /// The database is in read-only degraded mode; the message carries the
-    /// original failure. [`DurableDatabase::retry`] restores writability.
+    /// original failure. [`DurableDatabase::retry`] restores writability,
+    /// except after a panic mid-commit, which only a reopen clears.
     Degraded(String),
     /// The underlying database rejected the operation (constraint
     /// violation, parse error, unknown relation…). Nothing was logged.
@@ -210,12 +243,30 @@ fn epoch_of(name: &str) -> Option<u64> {
         .and_then(|e| e.parse().ok())
 }
 
+/// Why writes are refused after a panic under the writer lock.
+const POISONED: &str = "a write panicked mid-commit; reopen to recover from the log";
+
+fn poisoned<T>(_: PoisonError<T>) -> WalError {
+    WalError::Degraded(POISONED.to_string())
+}
+
+/// What the writer lock guards: the log's append side.
 struct Writer {
     wal: Wal,
     epoch: u64,
     /// Frames whose append failed, in commit order, awaiting retry.
     pending: VecDeque<Vec<u8>>,
-    degraded: Option<String>,
+}
+
+/// The durability barrier's shared state (O(1): waiters keep their own
+/// LSN on their stack).
+struct Commit {
+    /// Every frame with an LSN at or below this is on stable storage.
+    durable: u64,
+    /// A leader's fsync is in flight.
+    leading: bool,
+    /// The degradation reason, when read-only.
+    failed: Option<String>,
 }
 
 /// A [`Database`] with write-ahead logging, checkpoints, and crash
@@ -228,6 +279,13 @@ pub struct DurableDatabase {
     storage: Arc<dyn Storage>,
     config: DurabilityConfig,
     writer: Mutex<Writer>,
+    /// LSN of the last appended frame; bumped only under the writer lock.
+    appended: AtomicU64,
+    commit: Mutex<Commit>,
+    /// Signalled whenever a barrier ends, durably or not.
+    committed: Condvar,
+    /// The second handle on the current `wal.<e>`, synced by leaders.
+    barrier: Mutex<Barrier>,
 }
 
 impl DurableDatabase {
@@ -272,7 +330,7 @@ impl DurableDatabase {
 
         let wal_file = wal_name(epoch);
         let wal = match storage.read(&wal_file)? {
-            None => Wal::create(storage.as_ref(), &wal_file, config.fsync)?,
+            None => Wal::create(storage.as_ref(), &wal_file)?,
             Some(bytes) => {
                 let scanned =
                     scan(&bytes).map_err(|e| WalError::Corrupt(format!("{wal_file}: {e}")))?;
@@ -312,7 +370,6 @@ impl DurableDatabase {
                     storage.open(&wal_file)?,
                     scanned.valid_len(),
                     scanned.frames.len() as u64,
-                    config.fsync,
                 )?
             }
         };
@@ -327,6 +384,7 @@ impl DurableDatabase {
         tempora_obs::counter("tempora_wal_stale_files_removed_total")
             .add(report.stale_files_removed as u64);
 
+        let barrier = Barrier::open(storage.as_ref(), &wal_file)?;
         clock.go_live();
         tempora_obs::counter("tempora_wal_recoveries_total").inc();
         Ok((
@@ -339,8 +397,15 @@ impl DurableDatabase {
                     wal,
                     epoch,
                     pending: VecDeque::new(),
-                    degraded: None,
                 }),
+                appended: AtomicU64::new(0),
+                commit: Mutex::new(Commit {
+                    durable: 0,
+                    leading: false,
+                    failed: None,
+                }),
+                committed: Condvar::new(),
+                barrier: Mutex::new(barrier),
             },
             report,
         ))
@@ -367,12 +432,12 @@ impl DurableDatabase {
     /// [`WalError::Db`] when the DDL is rejected (nothing logged), else
     /// the durability errors of [`Self::insert`].
     pub fn execute_ddl(&self, ddl: &str) -> Result<Arc<RelationSchema>, WalError> {
-        let mut w = self.lock_writable()?;
+        let w = self.lock_writable()?;
         let schema = self.db.execute_ddl(ddl)?;
         let record = WalRecord::Create {
             ddl: ddl.to_string(),
         };
-        self.log(&mut w, vec![record.encode()])?;
+        self.commit(w, vec![record.encode()])?;
         Ok(schema)
     }
 
@@ -391,7 +456,7 @@ impl DurableDatabase {
         attrs: Vec<(AttrName, Value)>,
     ) -> Result<ElementId, WalError> {
         let valid = valid.into();
-        let mut w = self.lock_writable()?;
+        let w = self.lock_writable()?;
         let element = self.db.insert(relation, object, valid, attrs.clone())?;
         let tt = self.element_tt(relation, element)?;
         let record = WalRecord::Insert {
@@ -402,7 +467,7 @@ impl DurableDatabase {
             valid,
             attrs,
         };
-        self.log(&mut w, vec![record.encode()])?;
+        self.commit(w, vec![record.encode()])?;
         Ok(element)
     }
 
@@ -412,14 +477,14 @@ impl DurableDatabase {
     ///
     /// As for [`Self::insert`].
     pub fn delete(&self, relation: &str, element: ElementId) -> Result<Timestamp, WalError> {
-        let mut w = self.lock_writable()?;
+        let w = self.lock_writable()?;
         let tt = self.db.delete(relation, element)?;
         let record = WalRecord::Delete {
             tt,
             relation: relation.to_string(),
             element,
         };
-        self.log(&mut w, vec![record.encode()])?;
+        self.commit(w, vec![record.encode()])?;
         Ok(tt)
     }
 
@@ -436,7 +501,7 @@ impl DurableDatabase {
         attrs: Vec<(AttrName, Value)>,
     ) -> Result<ElementId, WalError> {
         let valid = valid.into();
-        let mut w = self.lock_writable()?;
+        let w = self.lock_writable()?;
         let new = self.db.modify(relation, element, valid, attrs.clone())?;
         let tt = self.element_tt(relation, new)?;
         let record = WalRecord::Modify {
@@ -447,7 +512,7 @@ impl DurableDatabase {
             valid,
             attrs,
         };
-        self.log(&mut w, vec![record.encode()])?;
+        self.commit(w, vec![record.encode()])?;
         Ok(new)
     }
 
@@ -463,7 +528,7 @@ impl DurableDatabase {
         relation: &str,
         records: Vec<BatchRecord>,
     ) -> Result<BatchReport, WalError> {
-        let mut w = self.lock_writable()?;
+        let w = self.lock_writable()?;
         let report = self.db.apply_batch(relation, records.clone())?;
         let rejected: BTreeSet<usize> = report.rejected.iter().map(|(i, _)| *i).collect();
         let mut logged: Vec<(Timestamp, Vec<u8>)> = Vec::with_capacity(report.accepted.len());
@@ -487,7 +552,7 @@ impl DurableDatabase {
         // The log is in transaction-time order; sharded ingest may have
         // stamped records out of batch order.
         logged.sort_by_key(|(tt, _)| *tt);
-        self.log(&mut w, logged.into_iter().map(|(_, p)| p).collect())?;
+        self.commit(w, logged.into_iter().map(|(_, p)| p).collect())?;
         Ok(report)
     }
 
@@ -551,12 +616,16 @@ impl DurableDatabase {
     /// are not durable), [`WalError::Io`] on storage failures.
     pub fn checkpoint(&self) -> Result<u64, WalError> {
         let mut w = self.lock_writable()?;
+        let mut barrier = self.barrier.lock().map_err(poisoned)?;
         let next = w.epoch + 1;
         let text = dump(&self.db);
         self.storage
             .write_atomic(&checkpoint_name(next), text.as_bytes())?;
-        let wal = match Wal::create(self.storage.as_ref(), &wal_name(next), self.config.fsync) {
-            Ok(wal) => wal,
+        let opened = Wal::create(self.storage.as_ref(), &wal_name(next)).and_then(|wal| {
+            Ok((wal, Barrier::open(self.storage.as_ref(), &wal_name(next))?))
+        });
+        let (wal, next_barrier) = match opened {
+            Ok(pair) => pair,
             Err(e) => {
                 // Roll the checkpoint back: leaving it would make recovery
                 // prefer epoch e+1 and ignore frames still landing in
@@ -567,6 +636,14 @@ impl DurableDatabase {
         };
         w.wal = wal;
         w.epoch = next;
+        *barrier = next_barrier;
+        drop(barrier);
+        // The synced checkpoint holds every appended frame: all of them
+        // are durable now, without a barrier.
+        let mut c = self.lock_commit()?;
+        c.durable = c.durable.max(self.appended.load(Ordering::Acquire));
+        drop(c);
+        self.committed.notify_all();
         // Sweep every epoch below the new one, not just `next − 1`: a
         // crash between a past checkpoint's file creation and its cleanup
         // leaves older epochs behind, and removing only the immediate
@@ -586,83 +663,84 @@ impl DurableDatabase {
         Ok(next)
     }
 
-    /// Forces every acknowledged operation to stable storage (a durability
+    /// Forces every appended operation to stable storage (a durability
     /// barrier on top of the configured fsync policy).
     ///
     /// # Errors
     ///
-    /// The fsync failure; the database degrades as for a failed write.
+    /// [`WalError::Degraded`] when the barrier fails; the database
+    /// degrades as for a failed write.
     pub fn sync(&self) -> Result<(), WalError> {
-        let mut w = self.writer.lock().expect("writer lock");
-        match w.wal.sync() {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let msg = format!("fsync failed: {e}");
-                degrade(&mut w, &msg);
-                Err(WalError::Degraded(msg))
-            }
-        }
+        self.await_durable(self.appended.load(Ordering::Acquire))
     }
 
     /// Attempts to leave degraded mode: truncates any torn bytes, appends
     /// every parked frame, and syncs. On success the database is writable
-    /// again; on failure it stays degraded and can be retried later.
+    /// again; on failure it stays degraded and can be retried later. A
+    /// panic mid-commit is not retryable: only reopening clears it.
     ///
     /// # Errors
     ///
     /// The error that kept the retry from completing.
     pub fn retry(&self) -> Result<(), WalError> {
-        let mut w = self.writer.lock().expect("writer lock");
-        if w.degraded.is_none() {
+        let mut guard = self.writer.lock().map_err(poisoned)?;
+        let w = &mut *guard;
+        if self.lock_commit()?.failed.is_none() {
             return Ok(());
         }
         w.wal.repair()?;
-        while let Some(payload) = w.pending.front().cloned() {
-            let before = w.wal.good_len();
-            match w.wal.append(&payload) {
-                Ok(_) => {
-                    w.pending.pop_front();
-                }
-                Err(e) if w.wal.good_len() > before => {
-                    // The frame landed; only the fsync barrier failed. The
-                    // final sync below is what actually matters, but this
-                    // attempt already consumed it — report and stay
-                    // degraded.
-                    w.pending.pop_front();
-                    return Err(WalError::Io(e));
-                }
-                Err(e) => {
-                    let _ = w.wal.repair();
-                    return Err(WalError::Io(e));
-                }
+        while let Some(payload) = w.pending.front() {
+            if let Err(e) = w.wal.append(payload) {
+                let _ = w.wal.repair();
+                return Err(WalError::Io(e));
             }
+            w.pending.pop_front();
+            self.appended.fetch_add(1, Ordering::Release);
         }
-        w.wal.sync()?;
-        w.degraded = None;
+        // The writer lock keeps appends out: this barrier covers them all.
+        let target = self.appended.load(Ordering::Acquire);
+        self.sync_barrier().map_err(WalError::Degraded)?;
+        let mut c = self.lock_commit()?;
+        publish(&mut c, target);
+        c.failed = None;
+        drop(c);
+        self.committed.notify_all();
         Ok(())
     }
 
-    /// The current durability status (the REPL's `.wal`).
+    /// The current durability status (the REPL's `.wal`). Answers even
+    /// after a panic mid-commit.
     #[must_use]
     pub fn status(&self) -> WalStatus {
-        let w = self.writer.lock().expect("writer lock");
+        let panicked = self.writer.is_poisoned() || self.commit.is_poisoned();
+        let w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let c = self.commit.lock().unwrap_or_else(PoisonError::into_inner);
+        let appended = self.appended.load(Ordering::Acquire);
         WalStatus {
             epoch: w.epoch,
             policy: self.config.fsync,
             frames: w.wal.next_seq(),
             bytes: w.wal.good_len(),
-            unsynced: w.wal.unsynced(),
+            unsynced: usize::try_from(appended.saturating_sub(c.durable)).unwrap_or(usize::MAX),
             pending: w.pending.len(),
-            degraded: w.degraded.clone(),
+            degraded: if panicked {
+                Some(POISONED.to_string())
+            } else {
+                c.failed.clone()
+            },
         }
     }
 
     fn lock_writable(&self) -> Result<MutexGuard<'_, Writer>, WalError> {
-        let w = self.writer.lock().expect("writer lock");
-        match &w.degraded {
+        let w = self.writer.lock().map_err(poisoned)?;
+        match &self.lock_commit()?.failed {
             Some(reason) => Err(WalError::Degraded(reason.clone())),
             None => Ok(w),
         }
+    }
+
+    fn lock_commit(&self) -> Result<MutexGuard<'_, Commit>, WalError> {
+        self.commit.lock().map_err(poisoned)
     }
 
     fn element_tt(&self, relation: &str, element: ElementId) -> Result<Timestamp, WalError> {
@@ -678,57 +756,129 @@ impl DurableDatabase {
             })
     }
 
-    /// Appends payloads in order, with retry/degrade semantics.
-    fn log(&self, w: &mut Writer, payloads: Vec<Vec<u8>>) -> Result<(), WalError> {
+    /// The one commit path. Under the writer lock `w` it appends
+    /// `payloads` in order, retrying a failed append in-call and degrading
+    /// when it keeps failing; then it releases the lock and waits as the
+    /// fsync policy asks.
+    fn commit(&self, mut w: MutexGuard<'_, Writer>, payloads: Vec<Vec<u8>>) -> Result<(), WalError> {
         for (i, payload) in payloads.iter().enumerate() {
             let mut attempt = 0_u32;
-            loop {
-                let before = w.wal.good_len();
-                match w.wal.append(payload) {
-                    Ok(_) => break,
-                    Err(e) if w.wal.good_len() > before => {
-                        // Appended but the fsync barrier failed: the frame
-                        // is in the log, durability is deferred. Park the
-                        // *rest* (not this frame) and degrade.
-                        w.pending.extend(payloads[i + 1..].iter().cloned());
-                        let msg = format!("fsync failed: {e}");
-                        degrade(w, &msg);
-                        return Err(WalError::Degraded(msg));
-                    }
-                    Err(e) => {
-                        let _ = w.wal.repair();
-                        if attempt >= self.config.append_retries {
-                            w.pending.extend(payloads[i..].iter().cloned());
-                            let msg = format!("wal append failed: {e}");
-                            degrade(w, &msg);
-                            return Err(WalError::Degraded(msg));
-                        }
-                        attempt += 1;
-                        if !self.config.retry_backoff.is_zero() {
-                            std::thread::sleep(self.config.retry_backoff);
-                        }
-                    }
+            while let Err(e) = w.wal.append(payload) {
+                let _ = w.wal.repair();
+                if attempt >= self.config.append_retries {
+                    w.pending.extend(payloads[i..].iter().cloned());
+                    let msg = format!("wal append failed: {e}");
+                    fail(&mut *self.lock_commit()?, &msg);
+                    return Err(WalError::Degraded(msg));
+                }
+                attempt += 1;
+                if !self.config.retry_backoff.is_zero() {
+                    std::thread::sleep(self.config.retry_backoff);
                 }
             }
+            self.appended.fetch_add(1, Ordering::Release);
         }
-        Ok(())
+        let lsn = self.appended.load(Ordering::Relaxed);
+        drop(w);
+        match self.config.fsync {
+            FsyncPolicy::Always => self.await_durable(lsn),
+            // At most n − 1 frames stay uncovered: one barrier per n appends.
+            FsyncPolicy::GroupCommit(n) => {
+                self.await_durable((lsn + 1).saturating_sub(n.max(1) as u64))
+            }
+            FsyncPolicy::Never => Ok(()),
+        }
+    }
+
+    /// Blocks until every frame up to `lsn` is durable, leading a barrier
+    /// whenever none is in flight.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Degraded`] when the database is degraded before `lsn`
+    /// is covered.
+    fn await_durable(&self, lsn: u64) -> Result<(), WalError> {
+        let mut c = self.lock_commit()?;
+        loop {
+            if c.durable >= lsn {
+                return Ok(());
+            }
+            if let Some(reason) = &c.failed {
+                return Err(WalError::Degraded(reason.clone()));
+            }
+            c = if c.leading {
+                self.committed.wait(c).map_err(poisoned)?
+            } else {
+                self.lead(c)
+            };
+        }
+    }
+
+    /// Runs one barrier as leader: marks it in flight, syncs every frame
+    /// appended so far with the commit lock released, then publishes the
+    /// outcome and wakes every waiter.
+    fn lead<'a>(&'a self, mut c: MutexGuard<'a, Commit>) -> MutexGuard<'a, Commit> {
+        c.leading = true;
+        drop(c);
+        let unwinding = Unwinding(self);
+        // Read before taking the barrier handle: a checkpoint swaps the
+        // handle before any frame of the new epoch can be appended.
+        let target = self.appended.load(Ordering::Acquire);
+        let synced = self.sync_barrier();
+        drop(unwinding);
+        // Followers wait on the condvar: they must be woken even if the
+        // lock was poisoned meanwhile (they then answer `Degraded`).
+        let mut c = self.commit.lock().unwrap_or_else(PoisonError::into_inner);
+        c.leading = false;
+        match synced {
+            Ok(()) => publish(&mut c, target),
+            Err(reason) => fail(&mut c, &reason),
+        }
+        self.committed.notify_all();
+        c
+    }
+
+    fn sync_barrier(&self) -> Result<(), String> {
+        let mut barrier = self.barrier.lock().map_err(|_| POISONED.to_string())?;
+        barrier.sync().map_err(|e| format!("fsync failed: {e}"))
     }
 }
 
-fn degrade(w: &mut Writer, reason: &str) {
-    if w.degraded.is_none() {
+/// Publishes `target` as durable after a barrier, recording how many
+/// frames the barrier newly covered.
+fn publish(c: &mut Commit, target: u64) {
+    tempora_obs::histogram("tempora_wal_group_commit_batch")
+        .record_us(target.saturating_sub(c.durable));
+    c.durable = c.durable.max(target);
+}
+
+fn fail(c: &mut Commit, reason: &str) {
+    if c.failed.is_none() {
         tempora_obs::counter("tempora_wal_degraded_entries_total").inc();
     }
-    w.degraded = Some(reason.to_string());
+    c.failed = Some(reason.to_string());
+}
+
+/// Clears `leading` and fails the barrier if the leader unwinds mid-fsync,
+/// so its followers are answered instead of waiting forever.
+struct Unwinding<'a>(&'a DurableDatabase);
+
+impl Drop for Unwinding<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut c = self.0.commit.lock().unwrap_or_else(PoisonError::into_inner);
+            c.leading = false;
+            fail(&mut c, POISONED);
+            self.0.committed.notify_all();
+        }
+    }
 }
 
 impl Drop for DurableDatabase {
     fn drop(&mut self) {
         // Best-effort flush on clean shutdown; a crash path skips this by
         // definition and relies on recovery.
-        if let Ok(mut w) = self.writer.lock() {
-            let _ = w.wal.sync();
-        }
+        let _ = self.sync();
     }
 }
 
@@ -1041,6 +1191,232 @@ mod tests {
         let (again, report) = open_mem(&mem, manual(0));
         assert_eq!(report.frames_replayed, 2, "{report}");
         assert_eq!(dump(again.db()), expected, "no duplicated frame");
+    }
+
+    /// Wraps a storage to count fsyncs (MemStorage's own sync is a no-op)
+    /// and, once armed, to hold the next sync until the test releases it.
+    #[derive(Clone, Default)]
+    struct Probe {
+        syncs: Arc<std::sync::atomic::AtomicU64>,
+        gate: Arc<(Mutex<Gate>, Condvar)>,
+    }
+    #[derive(Default)]
+    struct Gate {
+        armed: bool,
+        entered: bool,
+        released: bool,
+    }
+    struct ProbeStorage {
+        inner: Arc<dyn Storage>,
+        probe: Probe,
+    }
+    struct ProbeFile {
+        inner: Box<dyn crate::io::LogFile>,
+        probe: Probe,
+    }
+    impl Probe {
+        fn syncs(&self) -> u64 {
+            self.syncs.load(Ordering::SeqCst)
+        }
+        fn arm(&self) {
+            self.gate.0.lock().unwrap().armed = true;
+        }
+        fn await_entered(&self) {
+            let (lock, cv) = &*self.gate;
+            let _g = cv.wait_while(lock.lock().unwrap(), |g| !g.entered).unwrap();
+        }
+        fn release(&self) {
+            let (lock, cv) = &*self.gate;
+            lock.lock().unwrap().released = true;
+            cv.notify_all();
+        }
+    }
+    impl crate::io::LogFile for ProbeFile {
+        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.inner.append(bytes)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            let (lock, cv) = &*self.probe.gate;
+            let mut g = lock.lock().unwrap();
+            if g.armed {
+                g.armed = false;
+                g.entered = true;
+                cv.notify_all();
+                drop(cv.wait_while(g, |g| !g.released).unwrap());
+            } else {
+                drop(g);
+            }
+            self.probe.syncs.fetch_add(1, Ordering::SeqCst);
+            self.inner.sync()
+        }
+        fn len(&self) -> io::Result<u64> {
+            self.inner.len()
+        }
+        fn truncate(&mut self, len: u64) -> io::Result<()> {
+            self.inner.truncate(len)
+        }
+    }
+    impl Storage for ProbeStorage {
+        fn open(&self, name: &str) -> io::Result<Box<dyn crate::io::LogFile>> {
+            Ok(Box::new(ProbeFile {
+                inner: self.inner.open(name)?,
+                probe: self.probe.clone(),
+            }))
+        }
+        fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+            self.inner.read(name)
+        }
+        fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.inner.write_atomic(name, bytes)
+        }
+        fn remove(&self, name: &str) -> io::Result<()> {
+            self.inner.remove(name)
+        }
+        fn list(&self) -> io::Result<Vec<String>> {
+            self.inner.list()
+        }
+    }
+
+    /// A database on probed storage with relation `r` created and synced.
+    fn probed(
+        inner: Arc<dyn Storage>,
+        fsync: FsyncPolicy,
+    ) -> (DurableDatabase, Arc<ManualClock>, Probe) {
+        let probe = Probe::default();
+        let clock = manual(0);
+        let (db, _) = DurableDatabase::open(
+            Arc::new(ProbeStorage {
+                inner,
+                probe: probe.clone(),
+            }),
+            clock.clone(),
+            DurabilityConfig::with_fsync(fsync),
+        )
+        .expect("open");
+        db.execute_ddl("CREATE TEMPORAL RELATION r (k KEY) AS EVENT")
+            .expect("ddl");
+        db.sync().expect("sync");
+        (db, clock, probe)
+    }
+
+    fn insert_one(db: &DurableDatabase, clock: &ManualClock, i: u64) -> Result<ElementId, WalError> {
+        clock.set(Timestamp::from_secs(10 + i as i64));
+        db.insert("r", ObjectId::new(i), Timestamp::from_secs(5), vec![])
+    }
+
+    #[test]
+    fn always_policy_syncs_every_append() {
+        let (db, clock, probe) = probed(Arc::new(MemStorage::new()), FsyncPolicy::Always);
+        let after_create = probe.syncs();
+        for i in 0..5 {
+            insert_one(&db, &clock, i).expect("insert");
+            assert_eq!(db.status().unsynced, 0, "acknowledged means durable");
+        }
+        assert_eq!(probe.syncs() - after_create, 5);
+    }
+
+    #[test]
+    fn group_commit_syncs_every_nth() {
+        let (db, clock, probe) =
+            probed(Arc::new(MemStorage::new()), FsyncPolicy::GroupCommit(3));
+        let after_create = probe.syncs();
+        let unsynced: Vec<usize> = (0..7)
+            .map(|i| {
+                insert_one(&db, &clock, i).expect("insert");
+                db.status().unsynced
+            })
+            .collect();
+        assert_eq!(unsynced, [1, 2, 0, 1, 2, 0, 1]);
+        assert_eq!(probe.syncs() - after_create, 2);
+        db.sync().expect("sync");
+        assert_eq!(probe.syncs() - after_create, 3);
+        assert_eq!(db.status().unsynced, 0);
+        db.sync().expect("idempotent when clean");
+        assert_eq!(probe.syncs() - after_create, 3);
+    }
+
+    #[test]
+    fn never_policy_leaves_sync_to_close() {
+        let (db, clock, probe) = probed(Arc::new(MemStorage::new()), FsyncPolicy::Never);
+        let after_create = probe.syncs();
+        for i in 0..4 {
+            insert_one(&db, &clock, i).expect("insert");
+        }
+        assert_eq!(probe.syncs(), after_create);
+        assert_eq!(db.status().unsynced, 4);
+        drop(db);
+        assert_eq!(probe.syncs() - after_create, 1, "close syncs once");
+    }
+
+    /// Two writers wait on one barrier that fails: neither is acknowledged,
+    /// both answer `Degraded`, `retry` restores writability, and a reopen
+    /// finds each frame exactly once.
+    #[test]
+    fn a_failed_barrier_degrades_every_waiter_and_retry_recovers() {
+        let plan = FaultPlan::new();
+        let mem = MemStorage::new();
+        let faulty = Arc::new(FaultStorage::new(Arc::new(mem.clone()), Arc::clone(&plan)));
+        let (db, clock, probe) = probed(faulty, FsyncPolicy::Always);
+        // Syncs so far: the header at open (#0) and the DDL's barrier (#1).
+        plan.fail_sync(2);
+        probe.arm();
+        let (first, second) = std::thread::scope(|s| {
+            let first = s.spawn(|| insert_one(&db, &clock, 1));
+            // The first writer leads; its barrier is now held open.
+            probe.await_entered();
+            let second = s.spawn(|| insert_one(&db, &clock, 2));
+            while db.status().unsynced < 2 {
+                std::thread::yield_now();
+            }
+            probe.release();
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        for outcome in [&first, &second] {
+            assert!(matches!(outcome, Err(WalError::Degraded(_))), "{outcome:?}");
+        }
+        let status = db.status();
+        assert!(status.degraded.is_some());
+        assert_eq!(status.pending, 0, "both frames landed; nothing parked");
+        assert_eq!(status.unsynced, 2, "neither frame is behind a barrier");
+        assert!(matches!(
+            insert_one(&db, &clock, 3),
+            Err(WalError::Degraded(_))
+        ));
+
+        db.retry().expect("retry needs only a barrier");
+        assert_eq!(db.status().unsynced, 0);
+        insert_one(&db, &clock, 4).expect("writable again");
+        let expected = dump(db.db());
+        drop(db);
+        let (again, report) = open_mem(&mem, manual(0));
+        assert_eq!(report.frames_replayed, 4, "ddl + 2 unacknowledged + 1: {report}");
+        assert_eq!(dump(again.db()), expected, "no duplicated frame");
+    }
+
+    /// A panic under the writer lock (a contained panic in a served write)
+    /// poisons it: later writes answer `Degraded` instead of panicking,
+    /// `retry` cannot clear it, and reads and `status` keep working.
+    #[test]
+    fn a_panic_mid_commit_degrades_instead_of_panicking() {
+        let storage = MemStorage::new();
+        let clock = manual(0);
+        let (db, _) = open_mem(&storage, clock.clone());
+        seed(&db, &clock);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _w = db.writer.lock();
+            panic!("write blew up mid-commit");
+        }));
+        assert!(panicked.is_err());
+
+        let err = insert_one(&db, &clock, 9).expect_err("writes are refused");
+        assert!(matches!(&err, WalError::Degraded(m) if m.contains("panicked")), "{err}");
+        assert!(matches!(db.execute("DELETE FROM r ELEMENT 0"), Err(WalError::Degraded(_))));
+        assert!(matches!(db.checkpoint(), Err(WalError::Degraded(_))));
+        assert!(matches!(db.retry(), Err(WalError::Degraded(_))), "retry cannot clear it");
+        assert_eq!(db.query("SELECT FROM r").expect("reads work").stats.returned, 1);
+        let status = db.status();
+        assert!(status.degraded.as_deref().is_some_and(|m| m.contains("reopen")));
+        db.sync().expect("acknowledged frames can still be synced");
     }
 
     #[test]

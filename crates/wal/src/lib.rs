@@ -13,10 +13,12 @@
 //!   interior corruption (refuse, diagnose);
 //! * [`WalRecord`] — one committed operation per frame, reusing the dump
 //!   codec so the two persistence formats cannot drift;
-//! * [`Wal`]/[`FsyncPolicy`] — the writer: group commit, fsync policies,
-//!   torn-write repair;
+//! * [`Wal`] — the append side of the log, with torn-write repair, and
+//!   [`FsyncPolicy`], when a commit waits for the durability barrier;
 //! * [`DurableDatabase`] — a [`tempora_design::Database`] behind the
-//!   log-then-acknowledge protocol, with epoch-named checkpoints
+//!   log-then-acknowledge protocol: appends under a writer lock, fsyncs
+//!   shared by concurrent commits (leader/follower group commit) outside
+//!   it, epoch-named checkpoints
 //!   (`checkpoint.<e>` + `wal.<e>`), crash recovery through a
 //!   [`tempora_time::RecoveryClock`] (recovered stamps equal the
 //!   originals), and read-only degraded mode with retry when the log

@@ -1,10 +1,14 @@
-//! The log writer: append-only frames over a [`LogFile`], with a
-//! configurable fsync policy and group commit.
+//! The log: append-only frames over a [`LogFile`], and the durability
+//! [`Barrier`] that syncs them.
 //!
-//! The writer tracks `good_len` — the byte length of the last fully
-//! appended frame. A failed append (IO error, injected fault, torn write)
-//! never advances it, so [`Wal::repair`] can always cut the file back to
-//! the last good frame boundary and resume.
+//! The two are split so that a commit can append under the writer lock
+//! and wait for durability outside it (see `durable.rs`, where the
+//! [`FsyncPolicy`] is applied). [`Wal`] only appends: it tracks
+//! `good_len` — the byte length of the last fully appended frame. A
+//! failed append (IO error, injected fault, torn write) never advances
+//! it, so [`Wal::repair`] can always cut the file back to the last good
+//! frame boundary and resume. [`Barrier`] only syncs, through a second
+//! handle on the same file.
 
 use std::io;
 
@@ -14,11 +18,13 @@ use crate::io::{LogFile, Storage};
 /// When appended frames are forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Fsync after every append: a committed operation survives any crash.
+    /// A commit is acknowledged only once a barrier covers its frames: a
+    /// committed operation survives any crash. Concurrent commits share
+    /// barriers.
     Always,
-    /// Group commit: fsync once per `n` appends (and on checkpoint/close).
-    /// A crash can lose up to `n − 1` acknowledged operations — but never
-    /// corrupt the log.
+    /// Group commit: a barrier at least once per `n` appends (and on
+    /// checkpoint/close). A crash can lose up to `n − 1` acknowledged
+    /// operations — but never corrupt the log.
     GroupCommit(
         /// Appends per fsync; clamped to at least 1.
         usize,
@@ -94,16 +100,15 @@ impl std::fmt::Display for FsyncPolicy {
     }
 }
 
-/// An open write-ahead log.
+/// An open write-ahead log: appends frames through its own handle. It
+/// never syncs a frame; a second handle, synced outside the writer lock,
+/// does.
 pub struct Wal {
     file: Box<dyn LogFile>,
-    policy: FsyncPolicy,
     /// Length of the valid frame prefix — the repair truncation point.
     good_len: u64,
     /// Sequence number the next frame will carry.
     next_seq: u64,
-    /// Appends since the last successful fsync.
-    unsynced: usize,
 }
 
 impl Wal {
@@ -113,17 +118,15 @@ impl Wal {
     /// # Errors
     ///
     /// Propagates storage errors.
-    pub fn create(storage: &dyn Storage, name: &str, policy: FsyncPolicy) -> io::Result<Wal> {
+    pub fn create(storage: &dyn Storage, name: &str) -> io::Result<Wal> {
         let mut file = storage.open(name)?;
         file.truncate(0)?;
         file.append(FILE_HEADER)?;
         file.sync()?;
         Ok(Wal {
             file,
-            policy,
             good_len: FILE_HEADER.len() as u64,
             next_seq: 0,
-            unsynced: 0,
         })
     }
 
@@ -138,7 +141,6 @@ impl Wal {
         mut file: Box<dyn LogFile>,
         valid_len: u64,
         next_seq: u64,
-        policy: FsyncPolicy,
     ) -> io::Result<Wal> {
         if file.len()? != valid_len {
             file.truncate(valid_len)?;
@@ -146,55 +148,26 @@ impl Wal {
         }
         Ok(Wal {
             file,
-            policy,
             good_len: valid_len,
             next_seq,
-            unsynced: 0,
         })
     }
 
-    /// Appends one record payload as the next frame. Returns `true` when
-    /// the frame is known durable (the policy fsynced after it).
+    /// Appends one record payload as the next frame, without syncing it.
     ///
     /// # Errors
     ///
     /// On any error the frame is *not* committed: `good_len` is unchanged
     /// and the file may carry torn trailing bytes until [`Self::repair`].
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<bool> {
+    pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
         let frame = encode_frame(self.next_seq, payload);
+        let sw = tempora_obs::Stopwatch::start();
         self.file.append(&frame)?;
+        sw.record(&tempora_obs::histogram("tempora_wal_append_seconds"));
         self.good_len += frame.len() as u64;
         self.next_seq += 1;
-        self.unsynced += 1;
         tempora_obs::counter("tempora_wal_appends_total").inc();
         tempora_obs::counter("tempora_wal_appended_bytes_total").add(frame.len() as u64);
-        let synced = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::GroupCommit(n) => self.unsynced >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
-        if synced {
-            self.sync()?;
-        }
-        Ok(synced)
-    }
-
-    /// Forces everything appended so far to stable storage (no-op when
-    /// nothing is pending).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the fsync failure; the unsynced count is retained so a
-    /// later retry still covers the same frames.
-    pub fn sync(&mut self) -> io::Result<()> {
-        if self.unsynced == 0 {
-            return Ok(());
-        }
-        self.file.sync()?;
-        tempora_obs::counter("tempora_wal_fsyncs_total").inc();
-        tempora_obs::histogram("tempora_wal_group_commit_batch")
-            .record_us(self.unsynced as u64);
-        self.unsynced = 0;
         Ok(())
     }
 
@@ -223,28 +196,51 @@ impl Wal {
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
-
-    /// Appends not yet covered by an fsync.
-    #[must_use]
-    pub fn unsynced(&self) -> usize {
-        self.unsynced
-    }
-
-    /// The configured fsync policy.
-    #[must_use]
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
 }
 
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
-            .field("policy", &self.policy)
             .field("good_len", &self.good_len)
             .field("next_seq", &self.next_seq)
-            .field("unsynced", &self.unsynced)
             .finish()
+    }
+}
+
+/// The durability barrier: a second handle on the log file, opened with
+/// [`Storage::open`], so that one writer can sync it while others keep
+/// appending through the [`Wal`]'s handle.
+///
+/// This relies on `fdatasync` flushing the *file* (on Linux, the inode's
+/// dirty pages and size), not the bytes one descriptor wrote: a sync
+/// through this handle covers every append that returned before it began.
+pub(crate) struct Barrier {
+    file: Box<dyn LogFile>,
+}
+
+impl Barrier {
+    /// Opens the barrier handle on log file `name`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates storage errors.
+    pub(crate) fn open(storage: &dyn Storage, name: &str) -> io::Result<Barrier> {
+        Ok(Barrier {
+            file: storage.open(name)?,
+        })
+    }
+
+    /// Forces every byte appended to the log so far to stable storage.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the fsync failure.
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
+        let sw = tempora_obs::Stopwatch::start();
+        self.file.sync()?;
+        sw.record(&tempora_obs::histogram("tempora_wal_fsync_seconds"));
+        tempora_obs::counter("tempora_wal_fsyncs_total").inc();
+        Ok(())
     }
 }
 
@@ -253,111 +249,12 @@ mod tests {
     use super::*;
     use crate::frame::{scan, ScanStop};
     use crate::io::{AppendFault, FaultPlan, FaultStorage, MemStorage};
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    /// Wraps a storage to count fsyncs (MemStorage's own sync is a no-op).
-    struct SyncCounter {
-        inner: MemStorage,
-        syncs: Arc<AtomicU64>,
-    }
-    struct SyncCountingFile {
-        inner: Box<dyn LogFile>,
-        syncs: Arc<AtomicU64>,
-    }
-    impl LogFile for SyncCountingFile {
-        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-            self.inner.append(bytes)
-        }
-        fn sync(&mut self) -> io::Result<()> {
-            self.syncs.fetch_add(1, Ordering::Relaxed);
-            self.inner.sync()
-        }
-        fn len(&self) -> io::Result<u64> {
-            self.inner.len()
-        }
-        fn truncate(&mut self, len: u64) -> io::Result<()> {
-            self.inner.truncate(len)
-        }
-    }
-    impl Storage for SyncCounter {
-        fn open(&self, name: &str) -> io::Result<Box<dyn LogFile>> {
-            Ok(Box::new(SyncCountingFile {
-                inner: self.inner.open(name)?,
-                syncs: Arc::clone(&self.syncs),
-            }))
-        }
-        fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
-            self.inner.read(name)
-        }
-        fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
-            self.inner.write_atomic(name, bytes)
-        }
-        fn remove(&self, name: &str) -> io::Result<()> {
-            self.inner.remove(name)
-        }
-        fn list(&self) -> io::Result<Vec<String>> {
-            self.inner.list()
-        }
-    }
-
-    fn counting() -> (SyncCounter, Arc<AtomicU64>) {
-        let syncs = Arc::new(AtomicU64::new(0));
-        (
-            SyncCounter {
-                inner: MemStorage::new(),
-                syncs: Arc::clone(&syncs),
-            },
-            syncs,
-        )
-    }
-
-    #[test]
-    fn always_policy_syncs_every_append() {
-        let (storage, syncs) = counting();
-        let mut wal = Wal::create(&storage, "wal", FsyncPolicy::Always).unwrap();
-        let after_create = syncs.load(Ordering::Relaxed);
-        for i in 0..5 {
-            assert!(wal.append(format!("op{i}").as_bytes()).unwrap());
-        }
-        assert_eq!(syncs.load(Ordering::Relaxed) - after_create, 5);
-        assert_eq!(wal.unsynced(), 0);
-    }
-
-    #[test]
-    fn group_commit_syncs_every_nth() {
-        let (storage, syncs) = counting();
-        let mut wal = Wal::create(&storage, "wal", FsyncPolicy::GroupCommit(3)).unwrap();
-        let after_create = syncs.load(Ordering::Relaxed);
-        let durable: Vec<bool> = (0..7)
-            .map(|i| wal.append(format!("op{i}").as_bytes()).unwrap())
-            .collect();
-        assert_eq!(durable, [false, false, true, false, false, true, false]);
-        assert_eq!(syncs.load(Ordering::Relaxed) - after_create, 2);
-        assert_eq!(wal.unsynced(), 1);
-        wal.sync().unwrap();
-        assert_eq!(syncs.load(Ordering::Relaxed) - after_create, 3);
-        assert_eq!(wal.unsynced(), 0);
-        wal.sync().unwrap(); // idempotent when clean
-        assert_eq!(syncs.load(Ordering::Relaxed) - after_create, 3);
-    }
-
-    #[test]
-    fn never_policy_leaves_sync_to_close() {
-        let (storage, syncs) = counting();
-        let mut wal = Wal::create(&storage, "wal", FsyncPolicy::Never).unwrap();
-        let after_create = syncs.load(Ordering::Relaxed);
-        for i in 0..4 {
-            assert!(!wal.append(format!("op{i}").as_bytes()).unwrap());
-        }
-        assert_eq!(syncs.load(Ordering::Relaxed), after_create);
-        assert_eq!(wal.unsynced(), 4);
-    }
 
     #[test]
     fn log_scans_back_cleanly() {
         let storage = MemStorage::new();
-        let mut wal = Wal::create(&storage, "wal", FsyncPolicy::Always).unwrap();
+        let mut wal = Wal::create(&storage, "wal").unwrap();
         wal.append(b"first").unwrap();
         wal.append(b"second").unwrap();
         let bytes = storage.read("wal").unwrap().unwrap();
@@ -374,7 +271,7 @@ mod tests {
         plan.fail_append(2, AppendFault::Short(7)); // third append tears
         let mem = MemStorage::new();
         let storage = FaultStorage::new(Arc::new(mem.clone()), Arc::clone(&plan));
-        let mut wal = Wal::create(&storage, "wal", FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&storage, "wal").unwrap();
         wal.append(b"one").unwrap();
         let good = wal.good_len();
         let err = wal.append(b"two").unwrap_err();
@@ -395,7 +292,7 @@ mod tests {
     #[test]
     fn open_scanned_resumes_sequence_and_truncates_tail() {
         let storage = MemStorage::new();
-        let mut wal = Wal::create(&storage, "wal", FsyncPolicy::Always).unwrap();
+        let mut wal = Wal::create(&storage, "wal").unwrap();
         wal.append(b"alpha").unwrap();
         wal.append(b"beta").unwrap();
         drop(wal);
@@ -414,7 +311,6 @@ mod tests {
             storage.open("wal").unwrap(),
             scanned.valid_len(),
             scanned.frames.len() as u64,
-            FsyncPolicy::Always,
         )
         .unwrap();
         assert_eq!(wal.next_seq(), 2);

@@ -1,8 +1,9 @@
 //! Runtime semantics of the process-global recorder, exercised through
 //! real storage traffic: disabled mode freezes every instrument, `reset`
 //! clears the registry, and snapshots taken *while* the shard worker pool
-//! is checking a batch are internally consistent, and served probes move
-//! the read-path instruments by exactly what their responses report.
+//! is checking a batch are internally consistent, served probes move
+//! the read-path instruments by exactly what their responses report, and
+//! concurrent durable writes move the WAL stage instruments consistently.
 //!
 //! Like `obs_differential`, this is a dedicated binary with a single
 //! `#[test]`: `set_enabled` and `reset` are process-global, so the
@@ -182,7 +183,50 @@ fn recorder_runtime_semantics() {
         misses
     );
 
-    // --- Section 5: reset leaves a clean registry behind for later tests.
+    // --- Section 5: concurrent durable writes export the WAL stages. Each
+    // barrier is one timed fsync, and together the barriers cover every
+    // appended frame exactly once, however the writers shared them.
+    tempora::obs::reset();
+    let (db, _) = DurableDatabase::open(
+        Arc::new(MemStorage::new()),
+        Arc::new(ManualClock::new(origin)),
+        DurabilityConfig::default(),
+    )
+    .expect("open");
+    db.execute_ddl("CREATE TEMPORAL RELATION commits (k KEY) AS EVENT")
+        .expect("ddl");
+    let before = tempora::obs::snapshot();
+    std::thread::scope(|s| {
+        for writer in 0..4 {
+            let db = &db;
+            s.spawn(move || {
+                for i in 0..50 {
+                    db.execute(&format!("INSERT INTO commits OBJECT {} VALID {}", writer, vt(i)))
+                        .expect("durable insert");
+                }
+            });
+        }
+    });
+    let after = tempora::obs::snapshot();
+    let counted = |name: &str| after.counter_total(name) - before.counter_total(name);
+    let timed = |name: &str| after.histogram_count(name) - before.histogram_count(name);
+    let batch_sum = |snap: &tempora::obs::MetricsSnapshot| -> u64 {
+        snap.histograms
+            .iter()
+            .filter(|h| h.name == "tempora_wal_group_commit_batch")
+            .map(|h| h.sum_us)
+            .sum()
+    };
+    let appends = counted("tempora_wal_appends_total");
+    assert_eq!(appends, 200);
+    assert_eq!(timed("tempora_wal_append_seconds"), appends);
+    let fsyncs = counted("tempora_wal_fsyncs_total");
+    assert!((1..=appends).contains(&fsyncs), "{fsyncs} barriers");
+    assert_eq!(timed("tempora_wal_fsync_seconds"), fsyncs);
+    assert_eq!(timed("tempora_wal_group_commit_batch"), fsyncs);
+    assert_eq!(batch_sum(&after) - batch_sum(&before), appends);
+
+    // --- Section 6: reset leaves a clean registry behind for later tests.
     tempora::obs::reset();
     assert_eq!(tempora::obs::snapshot().counter_total("tempora_ingest_records_total"), 0);
 }

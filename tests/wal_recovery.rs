@@ -15,7 +15,10 @@
 //!   corrupted *interior* frame (bit flip with intact frames after it) makes
 //!   recovery refuse with a diagnostic naming the frame;
 //! * injected append/fsync failures degrade the database to read-only and
-//!   `retry()` restores writability without double-logging.
+//!   `retry()` restores writability without double-logging;
+//! * with eight concurrent writers sharing fsync barriers, every
+//!   acknowledged write survives a crash at the synced length its
+//!   acknowledgement saw, and that crash recovers a committed prefix.
 //!
 //! The default proptest sweeps the boundary offsets around every commit
 //! point plus a random sample; `crash_at_every_byte_exhaustive` (run with
@@ -28,9 +31,10 @@ use proptest::prelude::*;
 use tempora::design::dump::dump;
 use tempora::design::Database;
 use tempora::prelude::*;
+use tempora::design::ExecOutcome;
 use tempora::wal::{
-    AppendFault, DurabilityConfig, DurableDatabase, FaultPlan, FaultStorage, MemStorage,
-    WalError,
+    AppendFault, DurabilityConfig, DurableDatabase, FaultPlan, FaultStorage, LogFile,
+    MemStorage, Storage, WalError,
 };
 
 const DDL: &str = "CREATE TEMPORAL RELATION plant (sensor KEY, reading VARYING) AS EVENT";
@@ -554,4 +558,286 @@ fn recovery_sweeps_stale_epoch_files_left_by_a_crashed_checkpoint() {
         vec!["checkpoint.1".to_string(), "wal.1".to_string()],
         "only the live epoch survives"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Acknowledgement implies durability, with concurrent writers.
+
+/// Seed of the concurrent acknowledgement test; every thread's op mix
+/// derives from it.
+const ACK_SEED: u64 = 0x5eed_0009;
+const ACK_THREADS: u64 = 8;
+const ACK_OPS: u64 = 200;
+/// The op after which thread 0 checkpoints, while the others keep writing.
+const ACK_CHECKPOINT_AT: u64 = ACK_OPS / 2;
+
+/// The synced watermark: `(epoch, length)` of the log as it stood when
+/// the latest successful sync began. Every byte below it is durable.
+type Watermark = (u64, usize);
+
+#[derive(Default)]
+struct SyncLedger {
+    synced: Watermark,
+    /// Files as they were when removed (a checkpoint sweeps the old epoch).
+    removed: std::collections::BTreeMap<String, Vec<u8>>,
+}
+
+/// [`MemStorage`] that records the synced watermark and keeps the bytes of
+/// every file it removes, so any crash image of the run can be rebuilt.
+#[derive(Clone, Default)]
+struct WatermarkStorage {
+    inner: MemStorage,
+    ledger: Arc<std::sync::Mutex<SyncLedger>>,
+}
+
+struct WatermarkFile {
+    inner: Box<dyn LogFile>,
+    epoch: Option<u64>,
+    ledger: Arc<std::sync::Mutex<SyncLedger>>,
+}
+
+impl LogFile for WatermarkFile {
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.append(bytes)
+    }
+    fn sync(&mut self) -> std::io::Result<()> {
+        let len = usize::try_from(self.inner.len()?).expect("small log");
+        self.inner.sync()?;
+        if let Some(epoch) = self.epoch {
+            let mut ledger = self.ledger.lock().expect("ledger");
+            ledger.synced = ledger.synced.max((epoch, len));
+        }
+        Ok(())
+    }
+    fn len(&self) -> std::io::Result<u64> {
+        self.inner.len()
+    }
+    fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+        self.inner.truncate(len)
+    }
+}
+
+impl Storage for WatermarkStorage {
+    fn open(&self, name: &str) -> std::io::Result<Box<dyn LogFile>> {
+        Ok(Box::new(WatermarkFile {
+            inner: self.inner.open(name)?,
+            epoch: name.strip_prefix("wal.").and_then(|e| e.parse().ok()),
+            ledger: Arc::clone(&self.ledger),
+        }))
+    }
+    fn read(&self, name: &str) -> std::io::Result<Option<Vec<u8>>> {
+        self.inner.read(name)
+    }
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.write_atomic(name, bytes)
+    }
+    fn remove(&self, name: &str) -> std::io::Result<()> {
+        if let Some(bytes) = self.inner.read(name)? {
+            self.ledger
+                .lock()
+                .expect("ledger")
+                .removed
+                .insert(name.to_string(), bytes);
+        }
+        self.inner.remove(name)
+    }
+    fn list(&self) -> std::io::Result<Vec<String>> {
+        self.inner.list()
+    }
+}
+
+impl WatermarkStorage {
+    fn watermark(&self) -> Watermark {
+        self.ledger.lock().expect("ledger").synced
+    }
+
+    /// The store a crash at `mark` leaves behind: that epoch's checkpoint
+    /// and its log cut at the watermark.
+    fn crash_image(&self, (epoch, len): Watermark) -> MemStorage {
+        let mut all = self.ledger.lock().expect("ledger").removed.clone();
+        all.extend(self.inner.snapshot());
+        let mut files = std::collections::BTreeMap::new();
+        let mut wal = all[&format!("wal.{epoch}")].clone();
+        wal.truncate(len);
+        files.insert(format!("wal.{epoch}"), wal);
+        if let Some(checkpoint) = all.get(&format!("checkpoint.{epoch}")) {
+            files.insert(format!("checkpoint.{epoch}"), checkpoint.clone());
+        }
+        MemStorage::from_files(files)
+    }
+}
+
+/// One acknowledged write and the watermark read right after its
+/// acknowledgement.
+#[derive(Debug, Clone)]
+struct Ack {
+    thread: u64,
+    op: u64,
+    statement: String,
+    /// The element that must be current (insert, update) or deleted.
+    element: ElementId,
+    deleted: bool,
+    watermark: Watermark,
+}
+
+/// xorshift64*: a seeded, dependency-free draw.
+fn draw(state: &mut u64) -> u64 {
+    *state ^= *state >> 12;
+    *state ^= *state << 25;
+    *state ^= *state >> 27;
+    state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+}
+
+/// One writer: 80 % INSERT, 10 % UPDATE, 10 % DELETE of its own live
+/// elements, recording every acknowledgement with the watermark it saw.
+fn ack_writer(db: &DurableDatabase, storage: &WatermarkStorage, thread: u64) -> Vec<Ack> {
+    let mut rng = ACK_SEED ^ (thread + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut live: Vec<ElementId> = Vec::new();
+    let mut acks = Vec::new();
+    for op in 0..ACK_OPS {
+        if thread == 0 && op == ACK_CHECKPOINT_AT {
+            db.checkpoint().expect("checkpoint mid-run");
+        }
+        let roll = draw(&mut rng) % 100;
+        let vt = Timestamp::from_secs((draw(&mut rng) % 2_400) as i64);
+        let reading = draw(&mut rng) % 97;
+        let target = (!live.is_empty()).then(|| (draw(&mut rng) % live.len() as u64) as usize);
+        let statement = match target {
+            Some(i) if roll >= 90 => format!("DELETE FROM plant ELEMENT {}", live[i].raw()),
+            Some(i) if roll >= 80 => format!(
+                "UPDATE plant ELEMENT {} VALID {vt} SET reading = {reading}",
+                live[i].raw()
+            ),
+            _ => format!(
+                "INSERT INTO plant OBJECT {} VALID {vt} SET reading = {reading}",
+                thread * 1_000 + op
+            ),
+        };
+        let outcome = db.execute(&statement);
+        let watermark = storage.watermark();
+        let (element, deleted) = match (outcome, target) {
+            (Ok(ExecOutcome::Inserted(id)), _) => {
+                live.push(id);
+                (id, false)
+            }
+            (Ok(ExecOutcome::Updated(new)), Some(i)) => {
+                live[i] = new;
+                (new, false)
+            }
+            (Ok(ExecOutcome::Deleted(_)), Some(i)) => (live.swap_remove(i), true),
+            (other, _) => panic!(
+                "seed {ACK_SEED:#x}: thread {thread} op {op}: {statement}: {other:?}"
+            ),
+        };
+        acks.push(Ack {
+            thread,
+            op,
+            statement,
+            element,
+            deleted,
+            watermark,
+        });
+    }
+    acks
+}
+
+/// Eight writers commit through `execute` under fsync `always` while one
+/// of them checkpoints mid-run. Every acknowledgement records the synced
+/// watermark it saw; a crash at that watermark must recover the
+/// acknowledged write, and must recover exactly a committed prefix: the
+/// final database's transaction-time prefix at the last replayed stamp,
+/// holding every complete frame below the cut.
+#[test]
+fn concurrent_acknowledgements_survive_a_crash_at_their_watermark() {
+    use tempora::design::dump::dump_snapshot;
+    use tempora::wal::{frame::scan, WalRecord};
+
+    let storage = WatermarkStorage::default();
+    let clock = Arc::new(ManualClock::new(Timestamp::from_secs(1_000)));
+    let (db, _) = DurableDatabase::open(
+        Arc::new(storage.clone()),
+        clock,
+        DurabilityConfig::default(),
+    )
+    .expect("open");
+    db.execute_ddl(DDL).expect("ddl");
+    let acks: Vec<Ack> = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..ACK_THREADS)
+            .map(|t| {
+                let (db, storage) = (&db, &storage);
+                s.spawn(move || ack_writer(db, storage, t))
+            })
+            .collect();
+        writers
+            .into_iter()
+            .flat_map(|w| w.join().expect("writer thread"))
+            .collect()
+    });
+    assert_eq!(db.status().epoch, 1, "the mid-run checkpoint happened");
+
+    // Sample watermarks: every thread's first acknowledgement, and enough
+    // of the rest, evenly spread, for at least 64 distinct crash points.
+    let mut marks: Vec<Watermark> = acks.iter().map(|a| a.watermark).collect();
+    marks.sort_unstable();
+    marks.dedup();
+    let stride = (marks.len() / 96).max(1);
+    let mut sampled: Vec<Watermark> = marks.iter().copied().step_by(stride).collect();
+    sampled.extend(acks.iter().filter(|a| a.op == 0).map(|a| a.watermark));
+    sampled.sort_unstable();
+    sampled.dedup();
+
+    for &mark in &sampled {
+        let why = |ack: Option<&Ack>, what: String| match ack {
+            Some(a) => format!(
+                "seed {ACK_SEED:#x}: thread {} op {} ({}) acknowledged at watermark {mark:?}: {what}",
+                a.thread, a.op, a.statement
+            ),
+            None => format!("seed {ACK_SEED:#x}: crash at watermark {mark:?}: {what}"),
+        };
+        let image = storage.crash_image(mark);
+        let (recovered, report) = DurableDatabase::open(
+            Arc::new(image.clone()),
+            Arc::new(ManualClock::new(Timestamp::from_secs(0))),
+            DurabilityConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("{}", why(None, format!("recovery failed: {e}"))));
+
+        // Acknowledged at or below the cut ⇒ recovered (a later write of
+        // the same thread may have deleted it since).
+        for ack in acks.iter().filter(|a| a.watermark <= mark) {
+            let state = recovered
+                .db()
+                .with_relation("plant", |rel| rel.relation().get(ack.element).map(|e| e.tt_end))
+                .flatten();
+            match state {
+                Some(tt_end) if tt_end.is_some() || !ack.deleted => {}
+                other => panic!("{}", why(Some(ack), format!("recovered as {other:?}"))),
+            }
+        }
+
+        // The cut recovers exactly its complete frames, and they form the
+        // final database's transaction-time prefix.
+        let wal = image.read(&format!("wal.{}", mark.0)).expect("read").expect("wal");
+        let frames = scan(&wal).expect("scan").frames;
+        assert_eq!(
+            report.frames_replayed,
+            frames.len(),
+            "{}",
+            why(None, "not every complete frame was replayed".into())
+        );
+        let pin = recovered.clock().last_tick();
+        if let Some(last) = frames.last() {
+            let tt = WalRecord::decode(&last.payload).expect("decode").tt();
+            if tt.is_some() {
+                assert_eq!(tt, Some(pin), "{}", why(None, "pin is not the last frame".into()));
+            }
+        }
+        assert_eq!(
+            dump(recovered.db()),
+            dump_snapshot(&db.db().snapshot_at(pin)),
+            "{}",
+            why(None, format!("not the committed prefix at {pin}"))
+        );
+    }
+    assert!(sampled.len() >= 64, "only {} distinct watermarks", sampled.len());
 }
